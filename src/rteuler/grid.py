@@ -67,7 +67,8 @@ class TimeGrid:
             raise ValueError(f"cell index {k} outside 1..{self.n}")
         if not 0.0 < phi <= 1.0:
             raise ValueError(f"phi must be in (0, 1], got {phi}")
-        return self.point(k - 1) + self.dt * phi
+        # for phi near 1 the sum can round one ulp past t_k
+        return min(self.point(k - 1) + self.dt * phi, self.point(k))
 
     def cell_of(self, times: np.ndarray) -> np.ndarray:
         """1-based cell indices for event times, with tau in (t_{k-1}, t_k] -> k.

@@ -100,8 +100,6 @@ class JumpModel:
     intensity: float
     mark_sampler: Callable[[np.random.Generator, int], np.ndarray]
     mark_dim: int = 1
-    # analytic ln E|Z|^p of the mark law, when known (used by diagnostics)
-    log_abs_moment: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.intensity < 0.0:
@@ -110,13 +108,10 @@ class JumpModel:
 
 def normal_marks(intensity: float = 1.0) -> JumpModel:
     """Jump model with standard normal scalar marks."""
-    from .constraints import normal_abs_moment
-
     return JumpModel(
         intensity=intensity,
         mark_sampler=lambda gen, size: gen.normal(size=(size, 1)),
         mark_dim=1,
-        log_abs_moment=normal_abs_moment,
     )
 
 

@@ -12,20 +12,28 @@ jump coefficient is always evaluated at the cell's left time and left state:
 jumps inside a cell do not update the evaluation state mid-cell, and multiple
 jumps are summed in time order. The compensator term is skipped exactly when
 the model declares a zero-mean jump law.
+
+There is one stepping kernel, a lockstep loop over a batch of paths:
+``simulate_path`` and ``simulate_sdde_switching`` run it with a batch of one,
+and ``step`` runs its per-cell map once. Taming is fused into it: each step
+computes D_n(x) once and divides the drift, diffusion, compensator and jump
+terms by it, bit for bit what stepping ``taming.tame``'d coefficients gives.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 import numpy as np
 
+from . import taming
 from .grid import TimeGrid
 from .markov import MarkovPath
 from .model import CoefficientSet, EnvState
 from .rng import PathDraw
-from .taming import TamingConfig, tame
+from .taming import TamingConfig
 
 log = logging.getLogger(__name__)
 
@@ -85,12 +93,49 @@ class Trajectory:
         return self.states[-1]
 
 
-def effective_coefficients(model: CoefficientSet, cfg: SchemeConfig) -> CoefficientSet:
-    """The coefficients the scheme actually evaluates under cfg's variant."""
-    if not variant_is_tamed(cfg.variant):
-        return model
-    tcfg = cfg.taming or TamingConfig(n=cfg.n, zeta=model.zeta)
-    return tame(model, tcfg)
+@dataclass
+class BatchResult:
+    states: np.ndarray  # (B, n+1, d)
+    diverged_at: np.ndarray  # (B,) first non-finite step index, -1 if none
+
+    @property
+    def diverged(self) -> np.ndarray:
+        return self.diverged_at >= 0
+
+
+def _arm(coeffs: CoefficientSet, tcfg: TamingConfig | None, intensity: float) -> tuple:
+    """What a step needs of one coefficient set: (coeffs, tcfg, compensate)."""
+    compensate = intensity > 0.0 and not coeffs.zero_mean_jump
+    if compensate and coeffs.jump_compensator_mean is None:
+        raise ValueError("compensator mean required for non-zero-mean jump models")
+    return coeffs, tcfg, compensate
+
+
+def _cell(x, t_left, t_drift, dt, dW, arm, env, intensity, jumps):
+    """Advance every row of ``x`` (B, d) over one cell: the scheme's map.
+
+    ``arm`` comes from ``_arm`` (``tcfg`` None when untamed); ``dW`` is
+    (B, m); ``jumps`` is None or the (rows, marks) of the cell's jump events
+    in time order. Each tamed term is divided by the step's one denominator,
+    in the order ``(f / D) * dt``.
+    """
+    coeffs, tcfg, compensate = arm
+    drift = coeffs.drift(t_drift, x, env)
+    sig = coeffs.diffusion(t_left, x, env)
+    if tcfg is not None:
+        den = taming.denominator(tcfg, x)[:, None]
+        drift = drift / den
+        sig = sig / den[..., None]
+    out = x + drift * dt
+    out = out + np.einsum("...dm,...m->...d", sig, dW)
+    if compensate:
+        comp = coeffs.jump_compensator_mean(t_left, x, env)
+        out = out - intensity * dt * (comp if tcfg is None else comp / den)
+    if jumps is not None:
+        rows, marks = jumps
+        gam = coeffs.jump(t_left, x[rows], marks, env)
+        np.add.at(out, rows, gam if tcfg is None else gam / den[rows])
+    return out
 
 
 def step(
@@ -111,98 +156,96 @@ def step(
     (time, mark) pairs with time in (t_{k-1}, t_k], in time order, and ``phi``
     the drift randomizer (None evaluates the drift at the left endpoint).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))[None]
+    dW = np.atleast_1d(np.asarray(dW, dtype=float))[None]
     t_left = grid.point(k - 1)
     t_drift = grid.xi(k, phi) if phi is not None else t_left
-    dt = grid.dt
-
+    jumps = None
+    if len(cell_jumps):
+        marks = np.array([np.atleast_1d(z) for _tau, z in cell_jumps], dtype=float)
+        jumps = (np.zeros(len(marks), dtype=int), marks)
+    arm = _arm(coeffs, None, intensity)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = x + coeffs.drift(t_drift, x, env) * dt
-        out = out + coeffs.diffusion(t_left, x, env) @ dW
-        if intensity > 0.0 and not coeffs.zero_mean_jump:
-            if coeffs.jump_compensator_mean is None:
-                raise ValueError("compensator mean required for non-zero-mean jump models")
-            out = out - intensity * dt * coeffs.jump_compensator_mean(t_left, x, env)
-        for _tau, z in cell_jumps:
-            out = out + coeffs.jump(t_left, x, np.atleast_1d(z), env)
+        out = _cell(x, t_left, t_drift, grid.dt, dW, arm, env, intensity, jumps)[0]
     if not np.all(np.isfinite(out)):
         raise DivergedPathError(k, out)
     return out
 
 
-def _group_jumps_by_cell(grid: TimeGrid, times: np.ndarray, marks: np.ndarray):
-    """Map 1-based cell index -> list of (time, mark) pairs in time order."""
-    cells = grid.cell_of(times)
-    grouped: dict[int, list] = {}
-    for c, tau, z in zip(cells, times, marks):
-        grouped.setdefault(int(c), []).append((float(tau), z))
-    return grouped
-
-
-def simulate_path(
-    model: CoefficientSet,
-    cfg: SchemeConfig,
-    draw: PathDraw,
-    intensity: float = 0.0,
-    env: EnvState | None = None,
-) -> Trajectory:
-    """Run the scheme over the whole grid for a single path's draw."""
-    grid = TimeGrid(cfg.n, model.horizon)
-    coeffs = effective_coefficients(model, cfg)
-    randomized = variant_is_randomized(cfg.variant)
-    dW = draw.increments_for(cfg.n)
-    phis = draw.phis.get(cfg.n)
-    if randomized and phis is None:
-        raise ValueError(f"draw lacks randomizers for level n={cfg.n}")
-    jumps = _group_jumps_by_cell(grid, draw.jump_times, draw.jump_marks)
-
-    states = np.empty((cfg.n + 1, model.dim_state))
-    states[0] = draw.x0
-    x = draw.x0
-    for k in range(1, cfg.n + 1):
-        x = step(
-            x,
-            k,
-            grid,
-            coeffs,
-            dW[k - 1],
-            jumps.get(k, ()),
-            phi=float(phis[k - 1]) if randomized else None,
-            intensity=intensity,
-            env=env,
-        )
-        states[k] = x
-    return Trajectory(grid=grid, states=states)
-
-
-@dataclass
-class BatchResult:
-    states: np.ndarray  # (B, n+1, d)
-    diverged_at: np.ndarray  # (B,) first non-finite step index, -1 if none
-
-    @property
-    def diverged(self) -> np.ndarray:
-        return self.diverged_at >= 0
-
-
-def _flatten_jump_events(grid: TimeGrid, draws: list[PathDraw], mark_dim: int):
-    """Per-cell sorted event arrays for a batch: (cells, path_idx, marks)."""
-    cells, paths, marks = [], [], []
+def _jump_events(grid: TimeGrid, draws: list[PathDraw], mark_dim: int) -> dict:
+    """The batch's jump events by 1-based cell: k -> (rows, marks) in time order."""
+    cells, rows, marks = [np.empty(0, int)], [np.empty(0, int)], [np.empty((0, mark_dim))]
     for b, d in enumerate(draws):
         if len(d.jump_times):
-            c = grid.cell_of(d.jump_times)
-            cells.append(c)
-            paths.append(np.full(len(c), b))
+            cells.append(grid.cell_of(d.jump_times))
+            rows.append(np.full(len(d.jump_times), b))
             marks.append(d.jump_marks)
-    if not cells:
-        return (np.empty(0, int), np.empty(0, int), np.empty((0, mark_dim)))
     cells = np.concatenate(cells)
-    paths = np.concatenate(paths)
-    marks = np.concatenate(marks)
     # stable sort by cell keeps the per-path time order within each cell
     order = np.argsort(cells, kind="stable")
-    return cells[order], paths[order], marks[order]
+    cells, rows, marks = cells[order], np.concatenate(rows)[order], np.concatenate(marks)[order]
+    # each occupied cell's events run from its first index to the next cell's
+    bounds = np.flatnonzero(np.diff(cells, prepend=0)).tolist() + [len(cells)]
+    return {int(cells[lo]): (rows[lo:hi], marks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-draw arrays on a new first axis; a single array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _run(
+    models: dict[Hashable, CoefficientSet],
+    cfg: SchemeConfig,
+    draws: list[PathDraw],
+    intensity: float,
+    step_env: Callable[[int, np.ndarray], tuple[Hashable, EnvState | None]],
+) -> BatchResult:
+    """The stepping kernel: all draws in lockstep over the whole grid.
+
+    ``step_env(k, states)`` names the model (a key of ``models``) and the
+    environment for cell k; ``states`` is the (B, n+1, d) buffer, filled up
+    to index k-1. Every model shares the first one's dimensions and horizon.
+    """
+    some = next(iter(models.values()))
+    grid = TimeGrid(cfg.n, some.horizon)
+    n, d, m, B = cfg.n, some.dim_state, some.dim_noise, len(draws)
+    randomized = variant_is_randomized(cfg.variant)
+    for i, dr in enumerate(draws):
+        if dr.x0.shape != (d,):
+            raise ValueError(f"draw {i}: x0 has shape {dr.x0.shape}, model needs ({d},)")
+        if dr.m != m:
+            raise ValueError(f"draw {i}: increments have width {dr.m}, dim_noise is {m}")
+        if randomized and n not in dr.phis:
+            raise ValueError(f"draw {i} lacks randomizers (phis) for level n={n}")
+    if randomized:
+        phis = _stacked([dr.phis[n] for dr in draws])  # (B, n)
+        if not (phis.min() > 0.0 and phis.max() <= 1.0):  # NaN fails both
+            raise ValueError(f"randomizers (phis) for level n={n} must lie in (0, 1]")
+    dW = _stacked([dr.increments_for(n) for dr in draws])  # (B, n, m)
+    cell_jumps = _jump_events(grid, draws, some.mark_dim)
+    tamed = variant_is_tamed(cfg.variant)
+    arms = {
+        key: _arm(model, (cfg.taming or TamingConfig(n=n, zeta=model.zeta)) if tamed else None,
+                  intensity)
+        for key, model in models.items()
+    }
+
+    states = np.empty((B, n + 1, d))
+    states[:, 0] = x = np.stack([dr.x0 for dr in draws])
+    dt = grid.dt
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, n + 1):
+            t_left = grid.point(k - 1)
+            t_drift = t_left + dt * phis[:, k - 1 : k] if randomized else t_left
+            key, env = step_env(k, states)
+            jumps = cell_jumps.get(k)
+            x = _cell(x, t_left, t_drift, dt, dW[:, k - 1], arms[key], env, intensity, jumps)
+            states[:, k] = x
+
+    bad = ~np.isfinite(states).all(axis=2)  # (B, n+1)
+    diverged_at = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+    return BatchResult(states=states, diverged_at=diverged_at)
 
 
 def simulate_paths(
@@ -214,57 +257,32 @@ def simulate_paths(
 ) -> BatchResult:
     """Vectorized lockstep simulation of many independent paths.
 
-    Semantically equivalent to ``simulate_path`` per draw, but steps all paths
-    together; diverged paths are recorded (first bad step index) instead of
-    raising, and their later states are left non-finite.
+    Diverged paths are recorded (first bad step index) instead of raising,
+    and their later states are left non-finite.
     """
-    grid = TimeGrid(cfg.n, model.horizon)
-    coeffs = effective_coefficients(model, cfg)
-    randomized = variant_is_randomized(cfg.variant)
-    n, d, B = cfg.n, model.dim_state, len(draws)
+    return _run({None: model}, cfg, draws, intensity, lambda k, states: (None, env))
 
-    dW = np.stack([dr.increments_for(n) for dr in draws])  # (B, n, m)
-    if randomized:
-        phis = np.stack([dr.phis[n] for dr in draws])  # (B, n)
-    x0 = np.stack([dr.x0 for dr in draws])  # (B, d)
-    ev_cells, ev_paths, ev_marks = _flatten_jump_events(grid, draws, model.mark_dim)
-    compensate = (
-        intensity > 0.0
-        and not coeffs.zero_mean_jump
-        and coeffs.jump_compensator_mean is not None
-    )
-    if intensity > 0.0 and not coeffs.zero_mean_jump and coeffs.jump_compensator_mean is None:
-        raise ValueError("compensator mean required for non-zero-mean jump models")
 
-    states = np.empty((B, n + 1, d))
-    states[:, 0] = x0
-    x = x0
-    dt = grid.dt
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, n + 1):
-            t_left = grid.point(k - 1)
-            if randomized:
-                t_drift = (t_left + dt * phis[:, k - 1])[:, None]
-            else:
-                t_drift = t_left
-            out = x + coeffs.drift(t_drift, x, env) * dt
-            sig = coeffs.diffusion(t_left, x, env)
-            out = out + np.einsum("...dm,...m->...d", sig, dW[:, k - 1])
-            if compensate:
-                out = out - intensity * dt * coeffs.jump_compensator_mean(t_left, x, env)
-            lo = np.searchsorted(ev_cells, k, side="left")
-            hi = np.searchsorted(ev_cells, k, side="right")
-            if hi > lo:
-                idx = ev_paths[lo:hi]
-                gam = coeffs.jump(t_left, x[idx], ev_marks[lo:hi], env)
-                np.add.at(out, idx, gam)
-            states[:, k] = out
-            x = out
+def _single(res: BatchResult, grid: TimeGrid, regimes=None) -> Trajectory:
+    k = int(res.diverged_at[0])
+    if k >= 0:
+        raise DivergedPathError(k, res.states[0, k])
+    return Trajectory(grid=grid, states=res.states[0], regimes=regimes)
 
-    finite = np.isfinite(states).all(axis=2)  # (B, n+1)
-    bad = ~finite
-    diverged_at = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
-    return BatchResult(states=states, diverged_at=diverged_at)
+
+def simulate_path(
+    model: CoefficientSet,
+    cfg: SchemeConfig,
+    draw: PathDraw,
+    intensity: float = 0.0,
+    env: EnvState | None = None,
+) -> Trajectory:
+    """Run the scheme over the whole grid for a single path's draw.
+
+    Raises ``DivergedPathError`` at the first non-finite step.
+    """
+    res = simulate_paths(model, cfg, [draw], intensity, env)
+    return _single(res, TimeGrid(cfg.n, model.horizon))
 
 
 def simulate_sdde_switching(
@@ -305,39 +323,16 @@ def simulate_sdde_switching(
         const = np.atleast_1d(np.asarray(initial_segment, dtype=float))
         segment = lambda t: const
 
-    effective = {r: effective_coefficients(m, cfg) for r, m in models_by_regime.items()}
-    randomized = variant_is_randomized(cfg.variant)
-    dW = draw.increments_for(cfg.n)
-    phis = draw.phis.get(cfg.n)
-    if randomized and phis is None:
-        raise ValueError(f"draw lacks randomizers for level n={cfg.n}")
-    jumps = _group_jumps_by_cell(grid, draw.jump_times, draw.jump_marks)
+    regimes = chain.regimes_at(grid.points())  # (n+1,)
+    unknown = ~np.isin(regimes[:-1], list(models_by_regime))
+    if unknown.any():
+        raise KeyError(f"no model registered for regime {regimes[unknown.argmax()]}")
 
-    d = some.dim_state
-    states = np.empty((cfg.n + 1, d))
-    states[0] = draw.x0
-    regimes = np.empty(cfg.n + 1, dtype=int)
-    x = draw.x0
-    for k in range(1, cfg.n + 1):
-        t_left = grid.point(k - 1)
-        alpha = chain.regime_at(t_left)
-        regimes[k - 1] = alpha
-        if alpha not in effective:
-            raise KeyError(f"no model registered for regime {alpha}")
+    def step_env(k, states):
+        alpha = int(regimes[k - 1])
         back = k - 1 - lag
-        delayed = states[back] if back >= 0 else np.atleast_1d(segment(t_left))
-        env = EnvState(regime=alpha, delayed_state=delayed)
-        x = step(
-            x,
-            k,
-            grid,
-            effective[alpha],
-            dW[k - 1],
-            jumps.get(k, ()),
-            phi=float(phis[k - 1]) if randomized else None,
-            intensity=intensity,
-            env=env,
-        )
-        states[k] = x
-    regimes[cfg.n] = chain.regime_at(grid.point(cfg.n))
-    return Trajectory(grid=grid, states=states, regimes=regimes)
+        delayed = states[:, back] if back >= 0 else np.atleast_1d(segment(grid.point(k - 1)))
+        return alpha, EnvState(regime=alpha, delayed_state=delayed)
+
+    res = _run(models_by_regime, cfg, [draw], intensity, step_env)
+    return _single(res, grid, regimes)

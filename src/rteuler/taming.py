@@ -42,13 +42,12 @@ def _norm_power(x: np.ndarray, power: float) -> np.ndarray:
 
     The log form keeps precision for large powers and avoids pow-of-negative
     pitfalls; the zero branch makes the denominator exactly 1 at the origin.
+    The norm is the Euclidean one, summed as ``np.linalg.norm`` sums it.
     """
-    r = np.linalg.norm(np.atleast_1d(x), axis=-1)
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(power * np.log(r[pos]))
-    return out
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    r = np.sqrt(np.add.reduce(x * x, axis=-1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(r > 0.0, np.exp(power * np.log(r)), 0.0)
 
 
 def denominator(cfg: TamingConfig, x: np.ndarray) -> np.ndarray:

@@ -1,0 +1,187 @@
+"""The single stepping kernel: every entry point must give the same bits.
+
+``simulate_path`` and ``simulate_sdde_switching`` are batch-of-one calls into
+the loop behind ``simulate_paths``, and ``step`` runs that loop's per-cell
+map, so their results are compared with ``np.array_equal``, not a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import rteuler as rt
+from rteuler import (
+    DivergedPathError,
+    MarkovPath,
+    SchemeConfig,
+    TamingConfig,
+    TimeGrid,
+    simulate_path,
+    simulate_paths,
+    simulate_sdde_switching,
+    step,
+)
+from rteuler.cli import EXIT_DIVERGED, main
+
+
+def scheme_config(variant, n):
+    tamed = variant in ("randomized_tamed", "tamed")
+    return SchemeConfig(variant, n, TamingConfig(n, 2.0) if tamed else None)
+
+
+def planar_model():
+    """2-d state and noise, cubic drift, non-zero-mean jumps with a compensator."""
+    def drift(t, x, env=None):
+        return np.stack([x[..., 1], -x[..., 0] - x[..., 0] ** 3], axis=-1) * (1.0 + 0.0 * t)
+
+    def diffusion(t, x, env=None):
+        row1 = np.stack([0.1 * x[..., 0], 0.05 + 0.0 * x[..., 0]], axis=-1)
+        row2 = np.stack([0.0 * x[..., 1], 0.2 * x[..., 1]], axis=-1)
+        return np.stack([row1, row2], axis=-2)
+
+    return rt.CoefficientSet(
+        dim_state=2,
+        dim_noise=2,
+        drift=drift,
+        diffusion=diffusion,
+        jump=lambda t, x, z, env=None: 0.1 * x * z,
+        jump_compensator_mean=lambda t, x, env=None: 0.05 * x,
+        zeta=2.0,
+        zero_mean_jump=False,
+    )
+
+
+@pytest.mark.parametrize("variant", rt.VARIANTS)
+def test_single_path_equals_batch_row_exactly(variant, dw_model):
+    # intensity 40 puts several jumps into some cells of the n=16 level
+    jumps = rt.normal_marks(40.0)
+    cases = ((dw_model, 1, [2.0]), (planar_model(), 2, [1.0, -0.5]))
+    for model, m, x0 in cases:
+        draws = [
+            rt.make_path_draw(seed, i, fine_n=128, m=m, horizon=1.0, levels=[128, 16],
+                              jump_model=jumps, x0=np.array(x0))
+            for seed in (3, 17, 2026) for i in range(3)
+        ]
+        for n in (128, 16):
+            cfg = scheme_config(variant, n)
+            batch = simulate_paths(model, cfg, draws, intensity=40.0)
+            assert not batch.diverged.any()
+            for i, d in enumerate(draws):
+                solo = simulate_path(model, cfg, d, intensity=40.0)
+                assert np.array_equal(solo.states, batch.states[i])
+
+
+@pytest.mark.parametrize("variant", rt.VARIANTS)
+def test_sdde_single_regime_zero_delay_equals_plain_exactly(variant, dw_model, jumps_unit):
+    chain = MarkovPath(np.array([]), np.array([1]), 1.0)
+    cfg = scheme_config(variant, 64)
+    for seed in (5, 6, 7):
+        draw = rt.make_path_draw(seed, 0, fine_n=64, m=1, horizon=1.0, levels=[64],
+                                 jump_model=jumps_unit, x0=np.array([2.0]))
+        sdde = simulate_sdde_switching({1: dw_model}, cfg, draw, 0.0, np.array([2.0]),
+                                       chain, intensity=1.0)
+        plain = simulate_path(dw_model, cfg, draw, intensity=1.0)
+        assert np.array_equal(sdde.states, plain.states)
+
+
+def test_step_with_tamed_coefficients_equals_fused_kernel(dw_model):
+    # stepping rt.tame()'d coefficients cell by cell gives the bits of the
+    # kernel, which divides by one denominator per step instead
+    n = 32
+    draw = rt.make_path_draw(11, 0, fine_n=n, m=1, horizon=1.0, levels=[n],
+                             jump_model=rt.normal_marks(20.0), x0=np.array([2.0]))
+    tcfg = TamingConfig(n, 2.0)
+    grid = TimeGrid(n)
+    cells = grid.cell_of(draw.jump_times)
+    dW = draw.increments_for(n)
+    tamed = rt.tame(dw_model, tcfg)
+    x = draw.x0
+    states = [x]
+    for k in range(1, n + 1):
+        cell_jumps = [(t, z) for c, t, z in zip(cells, draw.jump_times, draw.jump_marks) if c == k]
+        x = step(x, k, grid, tamed, dW[k - 1], cell_jumps, phi=draw.phis[n][k - 1],
+                 intensity=20.0)
+        states.append(x)
+    traj = simulate_path(dw_model, SchemeConfig("randomized_tamed", n, tcfg), draw,
+                         intensity=20.0)
+    assert len(draw.jump_times) > 0
+    assert np.array_equal(np.array(states), traj.states)
+
+
+@pytest.mark.parametrize("variant", ["classical", "randomized_untamed"])
+def test_divergence_step_agrees_across_entry_points(variant, tmp_path, capsys):
+    cubic = rt.build_model("cubic-decay")
+    n = 8
+    draw = rt.make_path_draw(0, 0, fine_n=n, m=1, horizon=1.0, levels=[n],
+                             x0=np.array([10.0]))
+    cfg = SchemeConfig(variant, n)
+    batch = simulate_paths(cubic, cfg, [draw])
+    at = int(batch.diverged_at[0])
+    assert 1 <= at <= n
+    with pytest.raises(DivergedPathError) as plain:
+        simulate_path(cubic, cfg, draw)
+    chain = MarkovPath(np.array([]), np.array([1]), 1.0)
+    with pytest.raises(DivergedPathError) as sdde:
+        simulate_sdde_switching({1: cubic}, cfg, draw, 0.0, np.array([10.0]), chain)
+    assert plain.value.step_index == sdde.value.step_index == at
+    assert not np.all(np.isfinite(plain.value.state))
+
+    # the CLI builds the same draw from (seed 0, path 0) and reports the same step
+    cfg_path = tmp_path / "cubic.yaml"
+    cfg_path.write_text(
+        "model: {preset: cubic-decay, x0: 10.0}\n"
+        "jumps: {intensity: 0.0}\n"
+        f"simulate: {{n: {n}, variant: {variant}}}\n"
+        "seed: 0\n"
+    )
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DIVERGED
+    assert f"path diverged at step {at}" in capsys.readouterr().err
+
+
+def _randomized_draw(n=8, x0=(2.0,), m=1):
+    return rt.make_path_draw(1, 0, fine_n=n, m=m, horizon=1.0, levels=[n],
+                             x0=np.array(x0))
+
+
+def _entry_points(model):
+    chain = MarkovPath(np.array([]), np.array([1]), 1.0)
+    return (
+        lambda cfg, d: simulate_paths(model, cfg, [d]),
+        lambda cfg, d: simulate_path(model, cfg, d),
+        lambda cfg, d: simulate_sdde_switching({1: model}, cfg, d, 0.0, d.x0, chain),
+    )
+
+
+@pytest.mark.parametrize("bad_phi", [0.0, 1.5, -0.25, np.nan])
+def test_randomizers_outside_unit_interval_rejected(bad_phi, dw_model):
+    cfg = SchemeConfig("randomized_tamed", 8)
+    for run in _entry_points(dw_model):
+        draw = _randomized_draw()
+        draw.phis[8][3] = bad_phi
+        with pytest.raises(ValueError, match="phis"):
+            run(cfg, draw)
+
+
+def test_missing_randomizer_level_is_value_error(dw_model):
+    draw = rt.make_path_draw(0, 0, fine_n=16, m=1, horizon=1.0, levels=[8],
+                             x0=np.array([2.0]))
+    for run in _entry_points(dw_model):
+        with pytest.raises(ValueError, match="n=16"):
+            run(SchemeConfig("randomized_tamed", 16), draw)
+
+
+def test_x0_shape_must_match_dim_state():
+    model = planar_model()
+    draw = _randomized_draw(x0=(1.0,), m=2)  # a 1-vector on a 2-d model
+    with pytest.raises(ValueError, match="x0"):
+        simulate_paths(model, SchemeConfig("classical", 8), [draw])
+    with pytest.raises(ValueError, match="x0"):
+        simulate_path(model, SchemeConfig("classical", 8), draw)
+
+
+def test_increment_width_must_match_dim_noise(dw_model):
+    draw = _randomized_draw(m=2)
+    for run in _entry_points(dw_model):
+        with pytest.raises(ValueError, match="dim_noise"):
+            run(SchemeConfig("classical", 8), draw)
