@@ -239,6 +239,11 @@ def cmd_verify(args) -> int:
     config = load_config(args.config)
     sec = _section(config, "verify")
     model_sec = _section(config, "model")
+    preset = model_sec.get("preset", "double-well")
+    if preset != "double-well":
+        raise ConfigError(
+            f"model.preset is {preset!r}; verify checks the double-well constraints only"
+        )
     params = model_sec.get("params", {}) or {}
     try:
         dw = DoubleWellParams(**params) if params else DoubleWellParams()

@@ -25,6 +25,7 @@ import numpy as np
 from .model import CoefficientSet, build_model
 from .rng import JumpModel, make_path_draw, normal_marks
 from .scheme import (
+    BatchResult,
     SchemeConfig,
     VARIANTS,
     simulate_paths,
@@ -340,6 +341,32 @@ class MomentTable:
         return max(vals) / min(vals)
 
 
+MOMENT_CHUNK = 128  # grid points per column chunk of the moment reduction
+
+
+def _add_moments(res: BatchResult, q: float, sums: np.ndarray, bad: np.ndarray) -> int:
+    """Add one level's sums over paths of |x_k|^q into ``sums`` (n+1,), flag
+    the grid points with a non-finite state in ``bad`` (n+1,), and return the
+    number of diverged paths.
+
+    Works through column chunks of ``res.states`` so its temporaries stay
+    small. Grid points are independent and each one's sum over paths keeps its
+    row order, so the bits equal one whole-array reduction. The last chunk
+    also takes the final point, so no chunk is one column wide: numpy sums a
+    single column pairwise rather than row by row, which changes the bits.
+    """
+    n = res.states.shape[1] - 1
+    for lo in range(0, n, MOMENT_CHUNK):
+        hi = lo + MOMENT_CHUNK if lo + MOMENT_CHUNK < n else n + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(res.states[:, lo:hi], axis=-1)  # (B, hi-lo)
+            finite = np.isfinite(norms)
+            powered = np.where(finite, norms, 0.0) ** q
+        sums[lo:hi] += powered.sum(axis=0)
+        bad[lo:hi] |= ~finite.all(axis=0)
+    return int(res.diverged.sum())
+
+
 def moment_probe(
     model: CoefficientSet,
     variant: str,
@@ -368,13 +395,24 @@ def moment_probe(
         if fine % n != 0:
             raise ValueError("every n must divide max(n_list) for coupled draws")
     intensity = jump_model.intensity if jump_model else 0.0
-    rows = []
+    tamed = variant_is_tamed(variant)
+    cfgs = {
+        n: SchemeConfig(
+            variant=variant,
+            n=n,
+            taming=TamingConfig(n=n, zeta=model.zeta, n_power=taming_n_power,
+                                x_power=taming_x_power) if tamed else None,
+        )
+        for n in n_list
+    }
     sums = {n: np.zeros(n + 1) for n in n_list}
     bad_any = {n: np.zeros(n + 1, dtype=bool) for n in n_list}
     diverged = {n: 0 for n in n_list}
     randomized = variant_is_randomized(variant)
-    for start in range(0, num_paths, block_size):
-        stop = min(start + block_size, num_paths)
+
+    def run_block(paths: range) -> None:
+        # The block's draws die when this returns, before the next block's are
+        # built; each level's result dies before the next level's states exist.
         draws = [
             make_path_draw(
                 base_seed,
@@ -386,24 +424,16 @@ def moment_probe(
                 jump_model=jump_model,
                 x0=np.atleast_1d(np.asarray(x0, dtype=float)),
             )
-            for i in range(start, stop)
+            for i in paths
         ]
         for n in n_list:
-            taming = (
-                TamingConfig(n=n, zeta=model.zeta, n_power=taming_n_power,
-                             x_power=taming_x_power)
-                if variant_is_tamed(variant)
-                else None
-            )
-            cfg = SchemeConfig(variant=variant, n=n, taming=taming)
-            res = simulate_paths(model, cfg, draws, intensity)
-            norms = np.linalg.norm(res.states, axis=-1)  # (B, n+1)
-            finite = np.isfinite(norms)
-            with np.errstate(over="ignore", invalid="ignore"):
-                powered = np.where(finite, norms, 0.0) ** q
-            sums[n] += powered.sum(axis=0)
-            bad_any[n] |= ~finite.all(axis=0)
-            diverged[n] += int(res.diverged.sum())
+            res = simulate_paths(model, cfgs[n], draws, intensity)
+            diverged[n] += _add_moments(res, q, sums[n], bad_any[n])
+            del res
+
+    for start in range(0, num_paths, block_size):
+        run_block(range(start, min(start + block_size, num_paths)))
+    rows = []
     for n in n_list:
         per_point = sums[n] / num_paths
         per_point = np.where(bad_any[n], np.inf, per_point)

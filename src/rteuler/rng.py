@@ -55,11 +55,12 @@ def brownian_increments(key: StreamKey, n_fine: int, m: int, horizon: float) -> 
     return gen.normal(0.0, math.sqrt(horizon / n_fine), size=(n_fine, m))
 
 
-def coarsen(fine: np.ndarray, factor: int) -> np.ndarray:
+def coarsen(fine: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum consecutive groups of ``factor`` increments.
 
     The output is exactly the fine path's increments over the coarse cells, so
     coarse and fine schemes can be driven by the same Brownian realization.
+    With ``out`` the sums are written into it (same bits) and it is returned.
     """
     fine = np.asarray(fine)
     if factor < 1:
@@ -68,7 +69,7 @@ def coarsen(fine: np.ndarray, factor: int) -> np.ndarray:
     if n % factor != 0:
         raise ValueError(f"factor {factor} does not divide increment count {n}")
     shape = (n // factor, factor) + fine.shape[1:]
-    return fine.reshape(shape).sum(axis=1)
+    return np.sum(fine.reshape(shape), axis=1, out=out)
 
 
 def jump_path(
@@ -145,11 +146,12 @@ class PathDraw:
             if len(phi) != n:
                 raise ValueError(f"phi array for level {n} has length {len(phi)}")
 
-    def increments_for(self, n: int) -> np.ndarray:
-        """Brownian increments on the n-cell grid (fine_n must be divisible)."""
+    def increments_for(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Brownian increments on the n-cell grid (fine_n must be divisible),
+        written into ``out`` when given."""
         if self.fine_n % n != 0:
             raise ValueError(f"level {n} does not divide fine resolution {self.fine_n}")
-        return coarsen(self.fine_increments, self.fine_n // n)
+        return coarsen(self.fine_increments, self.fine_n // n, out=out)
 
 
 def make_path_draw(

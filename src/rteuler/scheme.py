@@ -174,16 +174,14 @@ def step(
 
 def _jump_events(grid: TimeGrid, draws: list[PathDraw], mark_dim: int) -> dict:
     """The batch's jump events by 1-based cell: k -> (rows, marks) in time order."""
-    cells, rows, marks = [np.empty(0, int)], [np.empty(0, int)], [np.empty((0, mark_dim))]
-    for b, d in enumerate(draws):
-        if len(d.jump_times):
-            cells.append(grid.cell_of(d.jump_times))
-            rows.append(np.full(len(d.jump_times), b))
-            marks.append(d.jump_marks)
-    cells = np.concatenate(cells)
+    jumpy = [d for d in draws if len(d.jump_times)]
+    # one cell_of over every event, concatenated in row order
+    cells = grid.cell_of(np.concatenate([np.empty(0)] + [d.jump_times for d in jumpy]))
+    rows = np.repeat(np.arange(len(draws)), [len(d.jump_times) for d in draws])
+    marks = np.concatenate([np.empty((0, mark_dim))] + [d.jump_marks for d in jumpy])
     # stable sort by cell keeps the per-path time order within each cell
     order = np.argsort(cells, kind="stable")
-    cells, rows, marks = cells[order], np.concatenate(rows)[order], np.concatenate(marks)[order]
+    cells, rows, marks = cells[order], rows[order], marks[order]
     # each occupied cell's events run from its first index to the next cell's
     bounds = np.flatnonzero(np.diff(cells, prepend=0)).tolist() + [len(cells)]
     return {int(cells[lo]): (rows[lo:hi], marks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
@@ -222,7 +220,10 @@ def _run(
         phis = _stacked([dr.phis[n] for dr in draws])  # (B, n)
         if not (phis.min() > 0.0 and phis.max() <= 1.0):  # NaN fails both
             raise ValueError(f"randomizers (phis) for level n={n} must lie in (0, 1]")
-    dW = _stacked([dr.increments_for(n) for dr in draws])  # (B, n, m)
+    # each draw's increments are coarsened straight into its row: no per-draw copies
+    dW = np.empty((B, n, m))
+    for i, dr in enumerate(draws):
+        dr.increments_for(n, out=dW[i])
     cell_jumps = _jump_events(grid, draws, some.mark_dim)
     tamed = variant_is_tamed(cfg.variant)
     arms = {

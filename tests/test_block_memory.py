@@ -1,0 +1,129 @@
+"""Bounded block memory: the same bits from fewer live copies.
+
+The kernel coarsens each draw's increments straight into its row of the batch
+buffer, and ``moment_probe`` frees each block before the next and reduces
+every level in column chunks. These tests pin both to the bits of the plain
+whole-array code and bound the probe's traced allocation peak.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import rteuler as rt
+from rteuler import BatchResult, coarsen, make_path_draw, simulate_paths
+from rteuler.harness import MOMENT_CHUNK, _add_moments, moment_probe
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    factor=st.integers(1, 256),
+    cells=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coarsen_into_row_is_bit_equal(m, factor, cells, seed):
+    fine = np.random.default_rng(seed).normal(size=(cells * factor, m))
+    buf = np.full((3, cells, m), np.nan)
+    row = buf[1]
+    assert coarsen(fine, factor, out=row) is row
+    assert np.array_equal(buf[1], coarsen(fine, factor))
+    assert np.isnan(buf[0]).all() and np.isnan(buf[2]).all()
+
+
+def _whole_array_sums(states, q):
+    """The reduction moment_probe made before column chunks, in one pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(states, axis=-1)
+        finite = np.isfinite(norms)
+        powered = np.where(finite, norms, 0.0) ** q
+    return powered.sum(axis=0), ~finite.all(axis=0)
+
+
+def _whole_array_probe(model, variant, n_list, q, num_paths, x0, jump_model, seed, block):
+    """moment_probe's table as the whole-array reduction computes it."""
+    fine = max(n_list)
+    randomized = variant in ("randomized_tamed", "randomized_untamed")
+    tamed = variant in ("randomized_tamed", "tamed")
+    sums = {n: np.zeros(n + 1) for n in n_list}
+    bad = {n: np.zeros(n + 1, dtype=bool) for n in n_list}
+    diverged = {n: 0 for n in n_list}
+    for start in range(0, num_paths, block):
+        draws = [
+            make_path_draw(seed, i, fine_n=fine, m=model.dim_noise, horizon=model.horizon,
+                           levels=n_list if randomized else [], jump_model=jump_model,
+                           x0=np.array([x0]))
+            for i in range(start, min(start + block, num_paths))
+        ]
+        for n in n_list:
+            taming = rt.TamingConfig(n=n, zeta=model.zeta) if tamed else None
+            res = simulate_paths(model, rt.SchemeConfig(variant, n, taming), draws,
+                                 jump_model.intensity if jump_model else 0.0)
+            s, b = _whole_array_sums(res.states, q)
+            sums[n] += s
+            bad[n] |= b
+            diverged[n] += int(res.diverged.sum())
+    return [
+        (float(np.where(bad[n], np.inf, sums[n] / num_paths).max()), diverged[n] / num_paths)
+        for n in n_list
+    ]
+
+
+def test_add_moments_equals_whole_array_reduction_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # n + 1 = 2 * MOMENT_CHUNK + 1: equal chunks would leave a one-column chunk
+    for n, d in ((2 * MOMENT_CHUNK, 1), (MOMENT_CHUNK + 5, 2), (3, 1), (1, 3)):
+        for B in (1, 7, 300):
+            states = rng.normal(size=(B, n + 1, d)) * 3.0
+            if B > 1:
+                states[1, n // 2 :] = np.inf
+                states[B - 1, -1, 0] = np.nan
+            res = BatchResult(states=states, diverged_at=np.full(B, -1))
+            sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
+            _add_moments(res, 4.0, sums, bad)
+            want_sums, want_bad = _whole_array_sums(states, 4.0)
+            assert np.array_equal(sums, want_sums)
+            assert np.array_equal(bad, want_bad)
+
+
+def test_moment_probe_equals_whole_array_reduction(dw_model, jumps_unit):
+    # x0 = 0.3 puts the sup away from t = 0; n = 256 spans several chunks
+    n_list = [64, 2 * MOMENT_CHUNK]
+    got = moment_probe(dw_model, "randomized_tamed", n_list, 4.0, 150, x0=0.3,
+                       jump_model=jumps_unit, base_seed=4, block_size=64)
+    want = _whole_array_probe(dw_model, "randomized_tamed", n_list, 4.0, 150, 0.3,
+                              jumps_unit, 4, 64)
+    assert [(r.sup_moment, r.diverged_frac) for r in got.rows] == want
+    assert got.rows[-1].sup_moment != 0.3**4
+
+
+def test_moment_probe_equals_whole_array_reduction_when_diverging(dw_model, jumps_unit):
+    # classical Euler from x0 = 9 blows up at n = 8 and 16 but not at 32
+    n_list = [8, 16, 32]
+    got = moment_probe(dw_model, "classical", n_list, 4.0, 20, x0=9.0,
+                       jump_model=jumps_unit, base_seed=5, block_size=8)
+    want = _whole_array_probe(dw_model, "classical", n_list, 4.0, 20, 9.0, jumps_unit, 5, 8)
+    assert [(r.sup_moment, r.diverged_frac) for r in got.rows] == want
+    assert [r.sup_moment == np.inf for r in got.rows] == [True, True, False]
+
+
+def test_moment_probe_peak_holds_one_block_of_draws(dw_model):
+    n_list, block = [256, 512, 1024], 128
+    one = make_path_draw(0, 0, fine_n=1024, m=1, horizon=1.0, levels=n_list,
+                         x0=np.array([2.0]))
+    draw_bytes = block * (one.fine_increments.nbytes + one.x0.nbytes
+                          + sum(p.nbytes for p in one.phis.values()))
+    state_bytes = block * (max(n_list) + 1) * 8  # one level's (B, n+1, 1) states
+    moment_probe(dw_model, "randomized_tamed", [8], 4.0, 2, block_size=1)  # warm-up
+    tracemalloc.start()
+    try:
+        moment_probe(dw_model, "randomized_tamed", n_list, 4.0, 2 * block, x0=0.3,
+                     base_seed=3, block_size=block)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # live at peak: one block's draws plus one level's increments, randomizers
+    # and states (about 3.4 state sizes with bookkeeping); holding two blocks'
+    # draws, or two levels' results, exceeds this
+    assert peak < draw_bytes + 4 * state_bytes

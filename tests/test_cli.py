@@ -224,3 +224,13 @@ def test_moments_subcommand(tmp_path):
     assert lines[0] == "n,dt,sup_moment,diverged_frac"
     assert len([l for l in lines if not l.startswith(("#", "n,"))]) == 3
     assert lines[-1].startswith("# max/min ratio:")
+
+
+def test_verify_refuses_other_presets(tmp_path, capsys):
+    doc = dict(SMALL_STUDY)
+    doc["model"] = {"preset": "linear-decay", "x0": 1.0}
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "model.preset" in captured.err and "linear-decay" in captured.err
+    assert captured.out == ""
