@@ -24,13 +24,7 @@ from .markov import Generator, simulate_ctmc
 from .model import DoubleWellParams, build_model, double_well_model, probe_growth
 from .plots import svg_loglog
 from .rng import StreamKey, StreamTag, make_path_draw, normal_marks
-from .scheme import (
-    DivergedPathError,
-    SchemeConfig,
-    simulate_path,
-    simulate_sdde_switching,
-    variant_is_tamed,
-)
+from .scheme import DivergedPathError, scheme_config, simulate_path, simulate_sdde_switching
 from .taming import TamingConfig, check_taming_bounds
 
 EXIT_OK = 0
@@ -182,21 +176,16 @@ def cmd_simulate(args) -> int:
     intensity = float(_section(config, "jumps").get("intensity", 1.0))
     n_power, x_power = _taming_overrides(config)
     out = _out_dir(config, args)
+    try:
+        cfg = scheme_config(variant, n, model.zeta, n_power, x_power)
+    except ValueError as exc:
+        raise ConfigError(f"simulate.n is {n}, simulate.variant is {variant!r}: {exc}") from exc
 
     jm = normal_marks(intensity) if intensity > 0 else None
     draw = make_path_draw(
         seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,
         levels=[n], jump_model=jm, x0=np.atleast_1d(np.asarray(x0, dtype=float)),
     )
-    taming = (
-        TamingConfig(n=n, zeta=model.zeta, n_power=n_power, x_power=x_power)
-        if variant_is_tamed(variant)
-        else None
-    )
-    try:
-        cfg = SchemeConfig(variant=variant, n=n, taming=taming)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     sdde = sec.get("sdde")
     try:
@@ -311,7 +300,9 @@ def cmd_moments(args) -> int:
             taming_n_power=n_power, taming_x_power=x_power,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # the probe's own checks start with the argument's name, which is the key's
+        named = str(exc).split()[0] in ("q", "n_list", "num_paths")
+        raise ConfigError(f"moments.{exc}" if named else str(exc)) from exc
     lines = ["n,dt,sup_moment,diverged_frac"]
     for r in table.rows:
         lines.append(f"{r.n},{r.dt:.17g},{r.sup_moment:.17g},{r.diverged_frac:.17g}")

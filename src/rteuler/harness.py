@@ -7,7 +7,9 @@ while the drift randomizers are independent per level. Errors are reported as
 (E|x_ref - x_n|^p)^(1/p) at the terminal time (or the max over the coarse
 grid), with batch-means standard errors.
 
-Paths are processed in fixed-size blocks by path index; blocks are the unit of
+Every Monte Carlo driver builds its draws with ``_draws`` and its scheme
+configs with ``scheme.scheme_config``. Paths are processed in fixed-size
+blocks by path index, scheduled by ``_map_blocks``; blocks are the unit of
 parallelism and results are reduced in block order, so output is byte-stable
 under any worker count.
 """
@@ -17,24 +19,26 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .model import CoefficientSet, build_model
-from .rng import JumpModel, make_path_draw, normal_marks
+from .rng import JumpModel, PathDraw, make_path_draw, normal_marks
 from .scheme import (
     BatchResult,
-    SchemeConfig,
     VARIANTS,
+    scheme_config,
     simulate_paths,
     variant_is_randomized,
     variant_is_tamed,
 )
-from .taming import TamingConfig, denominator
+from .taming import denominator
 
 ERROR_TIMES = ("terminal", "max_over_grid")
+N_BATCHES = 20  # batches of the batch-means standard error
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,6 @@ class StudyConfig:
     taming_n_power: float = 0.5
     taming_x_power: float | None = None
     block_size: int = 250
-    n_batches: int = 20
 
     def __post_init__(self):
         if not self.levels:
@@ -80,18 +83,6 @@ class StudyConfig:
             raise ValueError("p_list entries must be >= 1")
         if self.intensity < 0.0:
             raise ValueError("intensity must be >= 0")
-
-    def scheme_config(self, variant: str, n: int) -> SchemeConfig:
-        taming = None
-        if variant_is_tamed(variant):
-            model = build_model(self.model, self.model_params)
-            taming = TamingConfig(
-                n=n,
-                zeta=model.zeta,
-                n_power=self.taming_n_power,
-                x_power=self.taming_x_power,
-            )
-        return SchemeConfig(variant=variant, n=n, taming=taming)
 
 
 @dataclass(frozen=True)
@@ -198,31 +189,51 @@ def _build_problem(cfg: StudyConfig) -> tuple[CoefficientSet, JumpModel | None]:
     return model, jm
 
 
-def _study_block(cfg: StudyConfig, start: int, stop: int) -> dict:
-    """Per-path error values for paths [start, stop); pure in (cfg, range)."""
+def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, x0,
+           paths: range, fine_n: int, levels: list[int]) -> list[PathDraw]:
+    """One coupled draw per path index in ``paths``: increments and jumps at
+    ``fine_n`` steps, drift randomizers for each of ``levels``."""
+    return [
+        make_path_draw(base_seed, i, fine_n=fine_n, m=model.dim_noise, horizon=model.horizon,
+                       levels=levels, jump_model=jump_model, x0=x0)
+        for i in paths
+    ]
+
+
+def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None) -> list:
+    """``fn(paths)`` for each block of ``block_size`` path indices, in block order.
+
+    With ``workers > 1`` the blocks run in a process pool (``fn`` must then
+    pickle); the results come back in block order all the same.
+    """
+    say = say or (lambda _msg: None)
+    blocks = [range(s, min(s + block_size, num_paths)) for s in range(0, num_paths, block_size)]
+    say(f"simulating {num_paths} paths in {len(blocks)} blocks")
+    if workers > 1:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, blocks))
+    results = []
+    for paths in blocks:
+        results.append(fn(paths))
+        say(f"paths {paths.stop}/{num_paths} done")
+    return results
+
+
+def _study_block(cfg: StudyConfig, paths: range) -> dict:
+    """Per-path error values for ``paths``; pure in (cfg, paths)."""
     model, jump_model = _build_problem(cfg)
     level_list = list(cfg.levels)
-    draws = [
-        make_path_draw(
-            cfg.base_seed,
-            i,
-            fine_n=cfg.reference_n,
-            m=model.dim_noise,
-            horizon=model.horizon,
-            levels=level_list + [cfg.reference_n],
-            jump_model=jump_model,
-            x0=np.atleast_1d(np.asarray(cfg.x0, dtype=float)),
-        )
-        for i in range(start, stop)
-    ]
+    draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n,
+                   level_list + [cfg.reference_n])
+    tame = dict(zeta=model.zeta, n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
     ref = simulate_paths(
-        model, cfg.scheme_config(cfg.reference_variant, cfg.reference_n), draws, cfg.intensity
+        model, scheme_config(cfg.reference_variant, cfg.reference_n, **tame), draws, cfg.intensity
     )
     out: dict = {"ref_diverged": ref.diverged.copy()}
     for variant in cfg.variants:
-        errs = np.empty((stop - start, len(level_list)))
+        errs = np.empty((len(paths), len(level_list)))
         for j, n in enumerate(level_list):
-            lvl = simulate_paths(model, cfg.scheme_config(variant, n), draws, cfg.intensity)
+            lvl = simulate_paths(model, scheme_config(variant, n, **tame), draws, cfg.intensity)
             factor = cfg.reference_n // n
             if cfg.error_time == "terminal":
                 diff = np.linalg.norm(ref.states[:, -1] - lvl.states[:, -1], axis=-1)
@@ -235,13 +246,14 @@ def _study_block(cfg: StudyConfig, start: int, stop: int) -> dict:
     return out
 
 
-def _batch_means(values: np.ndarray, p: float, n_batches: int) -> tuple[float, float]:
-    """(E|v|^p)^(1/p) and its batch-means standard error, nan-aware."""
+def _batch_means(values: np.ndarray, p: float) -> tuple[float, float]:
+    """(E|v|^p)^(1/p) and its batch-means standard error over ``N_BATCHES``
+    batches, nan-aware."""
     with np.errstate(invalid="ignore"):
         powered = np.abs(values) ** p
     mean = np.nanmean(powered) if np.any(np.isfinite(powered)) else np.nan
     error = mean ** (1.0 / p) if np.isfinite(mean) else np.nan
-    batches = np.array_split(powered, n_batches)
+    batches = np.array_split(powered, N_BATCHES)
     bvals = []
     for b in batches:
         if b.size and np.any(np.isfinite(b)):
@@ -260,21 +272,8 @@ def strong_error_study(
     ``workers`` only changes how blocks are scheduled, never the results.
     ``progress`` is an optional callable(str) fed coarse status lines.
     """
-    say = progress or (lambda _msg: None)
-    blocks = [
-        (s, min(s + cfg.block_size, cfg.num_paths))
-        for s in range(0, cfg.num_paths, cfg.block_size)
-    ]
-    say(f"simulating {cfg.num_paths} paths in {len(blocks)} blocks")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_study_block, *zip(*[(cfg, s, t) for s, t in blocks])))
-    else:
-        results = []
-        for s, t in blocks:
-            results.append(_study_block(cfg, s, t))
-            say(f"paths {t}/{cfg.num_paths} done")
-
+    results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, cfg.block_size,
+                          workers, progress)
     ref_diverged = np.concatenate([r["ref_diverged"] for r in results])
     horizon = build_model(cfg.model, cfg.model_params).horizon
     reports = []
@@ -286,7 +285,7 @@ def strong_error_study(
             col = errs[:, j]
             diverged_frac = float(np.mean(~np.isfinite(col)))
             for p in cfg.p_list:
-                error, stderr = _batch_means(col, p, cfg.n_batches)
+                error, stderr = _batch_means(col, p)
                 rows.append(ErrorRow(dt=dt, p=p, error=error, stderr=stderr,
                                      diverged_frac=diverged_frac))
         slopes: dict[float, RateFit | None] = {}
@@ -390,59 +389,45 @@ def moment_probe(
     if q < 2:
         raise ValueError("q must be >= 2")
     n_list = [int(n) for n in n_list]
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
+    if num_paths < 1:
+        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
     fine = max(n_list)
     for n in n_list:
         if fine % n != 0:
-            raise ValueError("every n must divide max(n_list) for coupled draws")
+            raise ValueError("n_list entries must divide max(n_list) for coupled draws")
     intensity = jump_model.intensity if jump_model else 0.0
-    tamed = variant_is_tamed(variant)
-    cfgs = {
-        n: SchemeConfig(
-            variant=variant,
-            n=n,
-            taming=TamingConfig(n=n, zeta=model.zeta, n_power=taming_n_power,
-                                x_power=taming_x_power) if tamed else None,
-        )
-        for n in n_list
-    }
-    sums = {n: np.zeros(n + 1) for n in n_list}
-    bad_any = {n: np.zeros(n + 1, dtype=bool) for n in n_list}
-    diverged = {n: 0 for n in n_list}
-    randomized = variant_is_randomized(variant)
+    cfgs = {n: scheme_config(variant, n, model.zeta, taming_n_power, taming_x_power)
+            for n in n_list}
+    levels = n_list if variant_is_randomized(variant) else []
 
-    def run_block(paths: range) -> None:
+    def run_block(paths: range) -> dict:
         # The block's draws die when this returns, before the next block's are
         # built; each level's result dies before the next level's states exist.
-        draws = [
-            make_path_draw(
-                base_seed,
-                i,
-                fine_n=fine,
-                m=model.dim_noise,
-                horizon=model.horizon,
-                levels=n_list if randomized else [],
-                jump_model=jump_model,
-                x0=np.atleast_1d(np.asarray(x0, dtype=float)),
-            )
-            for i in paths
-        ]
+        draws = _draws(model, jump_model, base_seed, x0, paths, fine, levels)
+        out = {}
         for n in n_list:
+            sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
             res = simulate_paths(model, cfgs[n], draws, intensity)
-            diverged[n] += _add_moments(res, q, sums[n], bad_any[n])
+            out[n] = sums, bad, _add_moments(res, q, sums, bad)
             del res
+        return out
 
-    for start in range(0, num_paths, block_size):
-        run_block(range(start, min(start + block_size, num_paths)))
+    blocks = _map_blocks(run_block, num_paths, block_size)
     rows = []
     for n in n_list:
-        per_point = sums[n] / num_paths
-        per_point = np.where(bad_any[n], np.inf, per_point)
+        # each block's sums start from zeros, so adding them in block order
+        # makes the same float operations as accumulating into one array
+        sums = sum((b[n][0] for b in blocks), np.zeros(n + 1))
+        per_point = sums / num_paths
+        per_point = np.where(np.any([b[n][1] for b in blocks], axis=0), np.inf, per_point)
         rows.append(
             MomentRow(
                 n=n,
                 dt=model.horizon / n,
                 sup_moment=float(per_point.max()),
-                diverged_frac=diverged[n] / num_paths,
+                diverged_frac=sum(b[n][2] for b in blocks) / num_paths,
             )
         )
     return MomentTable(q=q, variant=variant, rows=rows)
@@ -490,21 +475,9 @@ def taming_gap_probe(
     if p0 < 2:
         raise ValueError("p0 must be >= 2")
     n_list = [int(n) for n in n_list]
-    fine = max(n_list)
     intensity = jump_model.intensity if jump_model else 0.0
-    draws = [
-        make_path_draw(
-            base_seed,
-            i,
-            fine_n=fine,
-            m=model.dim_noise,
-            horizon=model.horizon,
-            levels=n_list,
-            jump_model=jump_model,
-            x0=np.atleast_1d(np.asarray(x0, dtype=float)),
-        )
-        for i in range(num_paths)
-    ]
+    # all paths in one block, so each row's nanmean runs over every path at once
+    draws = _draws(model, jump_model, base_seed, x0, range(num_paths), max(n_list), n_list)
     tamed_variant = variant_is_tamed(variant)
     # one fixed mark sample shared by all rows keeps the probe deterministic
     if jump_model is not None and tamed_variant:
@@ -516,9 +489,7 @@ def taming_gap_probe(
         if not tamed_variant:
             rows.append(GapRow(n=n, dt=dt, drift_gap=0.0, diffusion_gap=0.0, jump_gap=0.0))
             continue
-        tcfg = TamingConfig(n=n, zeta=model.zeta, n_power=taming_n_power,
-                            x_power=taming_x_power)
-        cfg = SchemeConfig(variant=variant, n=n, taming=tcfg)
+        cfg = scheme_config(variant, n, model.zeta, taming_n_power, taming_x_power)
         res = simulate_paths(model, cfg, draws, intensity)
         x_left = res.states[:, :-1, :]  # (B, n, d)
         ok = np.isfinite(x_left).all(axis=-1)
@@ -529,7 +500,7 @@ def taming_gap_probe(
         else:
             t_drift = np.broadcast_to(t_left[None, :, None], x_left.shape[:2] + (1,))
         # gap factor: tamed f = f / D, so |f - tamed f| = |f| (D-1)/D
-        dn = denominator(tcfg, x_left)
+        dn = denominator(cfg.taming, x_left)
         shrink = np.where(ok, (dn - 1.0) / dn, np.nan)
         mu = np.linalg.norm(model.drift(t_drift, x_left, None), axis=-1)
         drift_gap = float(np.nanmean((mu * shrink) ** p0))

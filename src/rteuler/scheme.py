@@ -69,6 +69,17 @@ class SchemeConfig:
             raise ValueError("taming config step count differs from scheme step count")
 
 
+def scheme_config(
+    variant: str, n: int, zeta: float, n_power: float = 0.5, x_power: float | None = None
+) -> SchemeConfig:
+    """The config of ``variant`` at ``n`` steps. A tamed variant gets the
+    taming exponents ``n_power`` and ``x_power`` (default 3*zeta/2); the
+    untamed ones get no taming."""
+    tamed = variant_is_tamed(variant)
+    taming = TamingConfig(n=n, zeta=zeta, n_power=n_power, x_power=x_power) if tamed else None
+    return SchemeConfig(variant=variant, n=n, taming=taming)
+
+
 class DivergedPathError(RuntimeError):
     """A path produced a non-finite state; carries the step index and state."""
 

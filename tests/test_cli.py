@@ -234,3 +234,24 @@ def test_verify_refuses_other_presets(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "model.preset" in captured.err and "linear-decay" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("n_list", [0, 64]), ("num_paths", 0)])
+def test_moments_bad_key_is_config_error(tmp_path, capsys, key, value):
+    doc = dict(SMALL_STUDY)
+    doc["moments"] = {"n_list": [16, 32], "q": 4, "num_paths": 10, key: value}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: moments.{key}" in capsys.readouterr().err
+    assert not (out / "moments.csv").exists()
+
+
+def test_simulate_zero_steps_is_config_error(tmp_path, capsys):
+    doc = dict(SMALL_STUDY)
+    doc["simulate"] = {"n": 0, "variant": "randomized_tamed"}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "simulate.n" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
