@@ -1,9 +1,9 @@
 """Batch front door: config loading, subcommands, CSV/JSON/SVG emission.
 
-Configuration lives in a single YAML file with nested sections; every CLI
-flag overrides the corresponding config key. All outputs are pure functions
-of (config bytes, seed): rerunning a command reproduces identical artifacts,
-and the worker count only changes scheduling.
+Configuration lives in a single YAML file with nested sections: ``SCHEMA``
+declares every key with its default, and ``FLAGS`` the key each CLI flag
+overrides. All outputs are pure functions of (config bytes, seed): rerunning
+a command reproduces identical artifacts; the worker count only changes scheduling.
 
 Exit codes: 0 ok, 2 config error, 3 divergence threshold exceeded.
 """
@@ -11,8 +11,10 @@ Exit codes: 0 ok, 2 config error, 3 divergence threshold exceeded.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import yaml
 
 from . import constraints as cons
 from . import harness
+from .harness import StudyConfig
 from .markov import Generator, simulate_ctmc
 from .model import DoubleWellParams, build_model, double_well_model, probe_growth
 from .plots import svg_loglog
@@ -31,81 +34,135 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+# section -> key -> default; "" holds the root keys. Any other key is a config
+# error, and a key whose default is a list must be given a list.
+SCHEMA = {
+    "": {"seed": 0, "workers": 1, "out": "out", "format": "csv", "plot": False},
+    "model": {"preset": StudyConfig.model, "params": {}, "x0": StudyConfig.x0},
+    "jumps": {"intensity": StudyConfig.intensity},
+    "taming": {"n_power": StudyConfig.taming_n_power, "x_power": StudyConfig.taming_x_power},
+    "study": {k: getattr(StudyConfig, k) for k in (
+        "variants", "reference_variant", "levels", "reference_n", "num_paths", "p_list",
+        "error_time")},
+    "simulate": {"n": 256, "variant": "randomized_tamed", "sdde": None},
+    # initial_segment None: the constant segment at model.x0
+    "simulate.sdde": {"generator": None, "alpha0": 1, "delay": 0.0, "initial_segment": None,
+                      "params_by_regime": {}},
+    "moments": {"n_list": [64, 128, 256, 512, 1024], "q": 4, "num_paths": 10000,
+                "variant": "randomized_tamed"},
+    "verify": {"q_values": [4, 648], "p0_values": [2, 4], "lambda_factor": 1.001, "taming_n": 256},
+}
+
+# subcommand -> flag -> the dotted config key it overrides when given
+FLAGS = {
+    "converge": {"seed": "seed", "out": "out", "variant": "study.variants", "plot": "plot",
+                 "paths": "study.num_paths", "levels": "study.levels", "ref": "study.reference_n",
+                 "format": "format", "workers": "workers"},
+    "simulate": {"seed": "seed", "out": "out", "variant": "simulate.variant", "n": "simulate.n"},
+    "verify": {},
+    "moments": {"seed": "seed", "out": "out", "variant": "moments.variant",
+                "paths": "moments.num_paths"},
+}
+
 
 class ConfigError(Exception):
     pass
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(p) as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    return data
+def _keyed(section: str, exc: Exception) -> ConfigError:
+    """``exc`` as a config error. Checks downstream start their messages with the
+    argument's name; where that name is a key of ``section``, it becomes the dotted key."""
+    msg = str(exc)
+    if msg.partition(" ")[0] in SCHEMA[section]:
+        return ConfigError(f"{section}.{msg}")
+    return ConfigError(f"bad {section} config: {msg}")
 
 
-def _section(config: dict, name: str) -> dict:
-    sec = config.get(name, {}) or {}
-    if not isinstance(sec, dict):
+def _checked(name: str, given) -> dict:
+    """Section ``name`` checked against ``SCHEMA``; missing or null keys get their default."""
+    if not isinstance(given, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
-    return sec
+    out = copy.deepcopy(SCHEMA[name])
+    for key, value in given.items():
+        dotted = f"{name}.{key}" if name else str(key)
+        if key not in out:
+            raise ConfigError(f"unknown config key {dotted}")
+        if value is None:
+            continue
+        if isinstance(out[key], (list, tuple)) and not isinstance(value, list):
+            raise ConfigError(f"{dotted} must be a list, got {value!r}")
+        out[key] = value
+    return out
 
 
-def _model_from_config(config: dict):
-    sec = _section(config, "model")
-    name = sec.get("preset", "double-well")
-    params = sec.get("params", {}) or {}
+def load_config(path: str | None) -> dict:
+    """The config at ``path`` (None: all defaults), every section checked and
+    filled in by ``_checked``; ``simulate.sdde`` stays None unless given."""
+    data = {}
+    if path is not None:
+        if not Path(path).exists():
+            raise ConfigError(f"config file not found: {path}")
+        with open(path) as fh:
+            data = yaml.safe_load(fh) or {}
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be a mapping")
+    sections = {name: _checked(name, data.pop(name, None) or {})
+                for name in SCHEMA if name and "." not in name}
+    config = {**_checked("", data), **sections}
+    if config["simulate"]["sdde"]:
+        config["simulate"]["sdde"] = _checked("simulate.sdde", config["simulate"]["sdde"])
+    taming = config["taming"]
     try:
-        model = build_model(name, params)
+        taming["n_power"] = float(taming["n_power"])
+        TamingConfig(n=1, zeta=1.0, **taming)
+    except (TypeError, ValueError) as exc:
+        raise _keyed("taming", exc) from exc
+    return config
+
+
+def _apply_flags(config: dict, args) -> None:
+    """Override each config key from its flag in ``FLAGS``, if the flag was given."""
+    for flag, dotted in FLAGS[args.command].items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        section, _, key = dotted.rpartition(".")
+        if isinstance(SCHEMA[section][key], (list, tuple)) and not isinstance(value, list):
+            value = [value]
+        (config[section] if section else config)[key] = value
+
+
+def _model(config: dict):
+    model = config["model"]
+    try:
+        return build_model(model["preset"], model["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
-    x0 = sec.get("x0", 2.0)
-    return name, params, model, x0
 
 
-def _taming_overrides(config: dict) -> tuple[float, float | None]:
-    sec = _section(config, "taming")
-    return float(sec.get("n_power", 0.5)), sec.get("x_power")
-
-
-def _study_config(config: dict, args) -> harness.StudyConfig:
-    name, params, _model, x0 = _model_from_config(config)
-    sec = _section(config, "study")
-    n_power, x_power = _taming_overrides(config)
-    levels = args.levels or sec.get("levels", [64, 128, 256, 512, 1024, 2048])
-    if isinstance(levels, str):
-        levels = [int(v) for v in levels.split(",") if v]
-    kwargs = dict(
-        model=name,
-        model_params=params,
-        x0=x0,
-        variants=tuple(
-            [args.variant] if args.variant else sec.get("variants", ["randomized_tamed"])
-        ),
-        reference_variant=sec.get("reference_variant", "randomized_untamed"),
-        levels=tuple(int(v) for v in levels),
-        reference_n=int(args.ref or sec.get("reference_n", 8192)),
-        num_paths=int(args.paths or sec.get("num_paths", 2000)),
-        p_list=tuple(sec.get("p_list", [1, 2, 3, 4])),
-        error_time=sec.get("error_time", "terminal"),
-        base_seed=int(args.seed if args.seed is not None else config.get("seed", 0)),
-        intensity=float(_section(config, "jumps").get("intensity", 1.0)),
-        taming_n_power=n_power,
-        taming_x_power=x_power,
-    )
+def _study_config(config: dict) -> StudyConfig:
+    _model(config)  # a bad model config fails here, before any block runs
+    model, taming = config["model"], config["taming"]
+    study = {k: tuple(v) if isinstance(v, list) else v for k, v in config["study"].items()}
     try:
-        return harness.StudyConfig(**kwargs)
+        study.update(levels=tuple(int(n) for n in study["levels"]),
+                     reference_n=int(study["reference_n"]), num_paths=int(study["num_paths"]))
+        return StudyConfig(
+            **study,
+            model=model["preset"],
+            model_params=model["params"],
+            x0=model["x0"],
+            base_seed=int(config["seed"]),
+            intensity=float(config["jumps"]["intensity"]),
+            taming_n_power=taming["n_power"],
+            taming_x_power=taming["x_power"],
+        )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad study config: {exc}") from exc
+        raise _keyed("study", exc) from exc
 
 
-def _out_dir(config: dict, args) -> Path:
-    out = Path(args.out or config.get("out", "out"))
+def _out_dir(config: dict) -> Path:
+    out = Path(config["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -113,23 +170,28 @@ def _out_dir(config: dict, args) -> Path:
     return out
 
 
-def cmd_converge(args) -> int:
-    config = load_config(args.config)
-    cfg = _study_config(config, args)
-    out = _out_dir(config, args)
-    workers = int(args.workers or config.get("workers", 1))
-    fmt = args.format or config.get("format", "csv")
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def cmd_converge(args, config: dict) -> int:
+    cfg = _study_config(config)
+    workers, fmt = int(config["workers"]), config["format"]
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}")
-    reports = harness.strong_error_study(cfg, workers=workers, progress=harness.print_progress)
+    out = _out_dir(config)
+    reports = harness.strong_error_study(cfg, workers=workers,
+                                         progress=partial(print, file=sys.stderr))
 
     status = EXIT_OK
     for i, report in enumerate(reports):
         stem = "errors" if i == 0 else f"errors_{report.variant}"
         if fmt == "csv":
-            harness.write_report_csv(report, out / f"{stem}.csv")
+            (out / f"{stem}.csv").write_text(report.to_csv())
         else:
-            harness.write_report_json(report, out / f"{stem}.json")
+            _write_json(out / f"{stem}.json", report.to_json_dict())
         if any(not r.usable for r in report.rows):
             status = EXIT_DIVERGED
     rates = {
@@ -138,10 +200,8 @@ def cmd_converge(args) -> int:
         }
         for r in reports
     }
-    with open(out / "rates.json", "w") as fh:
-        json.dump(rates, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if args.plot or config.get("plot", False):
+    _write_json(out / "rates.json", rates)
+    if config["plot"]:
         series = {
             f"p={p:g}": [(r.dt, r.error) for r in reports[0].rows_for_p(p) if r.usable]
             for p in cfg.p_list
@@ -166,20 +226,16 @@ def _write_trajectory_csv(path: Path, traj) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    name, params, model, x0 = _model_from_config(config)
-    sec = _section(config, "simulate")
-    n = int(args.n or sec.get("n", 256))
-    variant = args.variant or sec.get("variant", "randomized_tamed")
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    intensity = float(_section(config, "jumps").get("intensity", 1.0))
-    n_power, x_power = _taming_overrides(config)
-    out = _out_dir(config, args)
+def cmd_simulate(args, config: dict) -> int:
+    model = _model(config)
+    sec, x0, seed = config["simulate"], config["model"]["x0"], int(config["seed"])
+    n, variant = int(sec["n"]), sec["variant"]
+    intensity = float(config["jumps"]["intensity"])
     try:
-        cfg = scheme_config(variant, n, model.zeta, n_power, x_power)
+        cfg = scheme_config(variant, n, model.zeta, **config["taming"])
     except ValueError as exc:
         raise ConfigError(f"simulate.n is {n}, simulate.variant is {variant!r}: {exc}") from exc
+    out = _out_dir(config)
 
     jm = normal_marks(intensity) if intensity > 0 else None
     draw = make_path_draw(
@@ -187,28 +243,25 @@ def cmd_simulate(args) -> int:
         levels=[n], jump_model=jm, x0=np.atleast_1d(np.asarray(x0, dtype=float)),
     )
 
-    sdde = sec.get("sdde")
+    sdde = sec["sdde"]
     try:
         if sdde:
             gen = Generator(np.asarray(sdde["generator"], dtype=float))
-            alpha0 = int(sdde.get("alpha0", 1))
             chain = simulate_ctmc(
-                gen, alpha0, model.horizon, StreamKey(seed, 0, StreamTag.MARKOV)
+                gen, int(sdde["alpha0"]), model.horizon, StreamKey(seed, 0, StreamTag.MARKOV)
             )
             by_regime = {}
-            params_by_regime = sdde.get("params_by_regime", {})
             for regime in range(1, gen.m0 + 1):
-                regime_params = dict(params)
-                regime_params.update(params_by_regime.get(regime, {}))
-                by_regime[regime] = build_model(name, regime_params)
+                regime_params = dict(config["model"]["params"])
+                regime_params.update(sdde["params_by_regime"].get(regime, {}))
+                by_regime[regime] = build_model(config["model"]["preset"], regime_params)
+            segment = x0 if sdde["initial_segment"] is None else sdde["initial_segment"]
             traj = simulate_sdde_switching(
                 by_regime,
                 cfg,
                 draw,
-                delay=float(sdde.get("delay", 0.0)),
-                initial_segment=np.atleast_1d(
-                    np.asarray(sdde.get("initial_segment", x0), dtype=float)
-                ),
+                delay=float(sdde["delay"]),
+                initial_segment=np.atleast_1d(np.asarray(segment, dtype=float)),
                 chain=chain,
                 intensity=intensity,
             )
@@ -224,38 +277,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    config = load_config(args.config)
-    sec = _section(config, "verify")
-    model_sec = _section(config, "model")
-    preset = model_sec.get("preset", "double-well")
+def cmd_verify(args, config: dict) -> int:
+    sec, preset, params = config["verify"], config["model"]["preset"], config["model"]["params"]
     if preset != "double-well":
         raise ConfigError(
             f"model.preset is {preset!r}; verify checks the double-well constraints only"
         )
-    params = model_sec.get("params", {}) or {}
     try:
         dw = DoubleWellParams(**params) if params else DoubleWellParams()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model params: {exc}") from exc
-    lam = float(sec.get("lambda_factor", 1.001))
-    q_values = [int(q) for q in sec.get("q_values", [4, 648])]
-    p0_values = [int(p) for p in sec.get("p0_values", [2, 4])]
+    lam = float(sec["lambda_factor"])
 
     lines = []
-    for q in q_values:
-        rep = cons.check_coercivity(q, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
+    for q in sec["q_values"]:
+        rep = cons.check_coercivity(int(q), dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
         lines.append(rep.format_row())
-    for p0 in p0_values:
-        rep = cons.check_monotonicity(p0, lam, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
+    for p0 in sec["p0_values"]:
+        rep = cons.check_monotonicity(int(p0), lam, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
         lines.append(rep.format_row())
 
     model = double_well_model(dw)
-    n = int(sec.get("taming_n", 256))
-    n_power, x_power = _taming_overrides(config)
-    bounds = check_taming_bounds(
-        model, TamingConfig(n=n, zeta=model.zeta, n_power=n_power, x_power=x_power)
-    )
+    n = int(sec["taming_n"])
+    bounds = check_taming_bounds(model, TamingConfig(n=n, zeta=model.zeta, **config["taming"]))
     lines.append(
         f"taming bounds[n={n}]          ratio<=1: {bounds.ratio_violations} violations; "
         f"fitted drift C={bounds.fitted_drift_constant:.6g}, "
@@ -280,29 +324,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_moments(args) -> int:
-    config = load_config(args.config)
-    name, params, model, x0 = _model_from_config(config)
-    sec = _section(config, "moments")
-    n_list = sec.get("n_list", [64, 128, 256, 512, 1024])
-    q = float(sec.get("q", 4))
-    num_paths = int(args.paths or sec.get("num_paths", 10000))
-    variant = args.variant or sec.get("variant", "randomized_tamed")
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    intensity = float(_section(config, "jumps").get("intensity", 1.0))
-    n_power, x_power = _taming_overrides(config)
-    out = _out_dir(config, args)
+def cmd_moments(args, config: dict) -> int:
+    model = _model(config)
+    sec, taming = config["moments"], config["taming"]
+    intensity = float(config["jumps"]["intensity"])
+    out = _out_dir(config)
     jm = normal_marks(intensity) if intensity > 0 else None
     try:
         table = harness.moment_probe(
-            model, variant, n_list, q, num_paths,
-            x0=x0, jump_model=jm, base_seed=seed,
-            taming_n_power=n_power, taming_x_power=x_power,
+            model, sec["variant"], sec["n_list"], float(sec["q"]), int(sec["num_paths"]),
+            x0=config["model"]["x0"], jump_model=jm, base_seed=int(config["seed"]),
+            taming_n_power=taming["n_power"], taming_x_power=taming["x_power"],
         )
     except ValueError as exc:
-        # the probe's own checks start with the argument's name, which is the key's
-        named = str(exc).split()[0] in ("q", "n_list", "num_paths")
-        raise ConfigError(f"moments.{exc}" if named else str(exc)) from exc
+        raise _keyed("moments", exc) from exc
     lines = ["n,dt,sup_moment,diverged_frac"]
     for r in table.rows:
         lines.append(f"{r.n},{r.dt:.17g},{r.sup_moment:.17g},{r.diverged_frac:.17g}")
@@ -310,6 +345,10 @@ def cmd_moments(args) -> int:
     (out / "moments.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {out}/moments.csv", file=sys.stderr)
     return EXIT_OK
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,11 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="coupled-ladder strong error study")
     common(p)
     p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    p.add_argument("--levels", help="comma-separated step counts")
+    p.add_argument("--levels", type=_int_list, help="comma-separated step counts")
     p.add_argument("--ref", type=int, help="reference step count")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--workers", type=int, help="worker processes")
-    p.add_argument("--plot", action="store_true", help="also write errors.svg")
+    # None when absent, so the switch can only turn plotting on
+    p.add_argument("--plot", action="store_true", default=None, help="also write errors.svg")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("simulate", help="dump one trajectory as CSV")
@@ -355,7 +395,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = load_config(args.config)
+        _apply_flags(config, args)
+        return args.func(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

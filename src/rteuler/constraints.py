@@ -156,9 +156,7 @@ class EmpiricalMonotonicityReport:
     """Sampled one-sided Lipschitz diagnostic for the double-well model."""
 
     fitted_constant: float
-    worst_pair: tuple
     cubic_sign_violations: int
-    n_samples: int
 
 
 def check_double_well_monotonicity_empirical(
@@ -208,15 +206,11 @@ def check_double_well_monotonicity_empirical(
     dist2 = np.sum(diff**2, axis=-1)
     nz = dist2 > 0.0
     ratios = quantity[nz] / dist2[nz]
-    i = int(np.argmax(ratios)) if nz.any() else 0
-    idx = np.flatnonzero(nz)[i] if nz.any() else 0
 
     cubic = np.sum(diff * (x**3 - y**3), axis=-1)
     violations = int(np.sum(cubic < 0.0))
 
     return EmpiricalMonotonicityReport(
-        fitted_constant=float(ratios[i]) if nz.any() else 0.0,
-        worst_pair=(float(s[idx]), float(t[idx]), x[idx].copy(), y[idx].copy()),
+        fitted_constant=float(ratios.max()) if nz.any() else 0.0,
         cubic_sign_violations=violations,
-        n_samples=n_samples,
     )

@@ -16,9 +16,7 @@ under any worker count.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from concurrent import futures
 from dataclasses import dataclass, field
 from functools import partial
@@ -183,12 +181,6 @@ class ErrorReport:
         }
 
 
-def _build_problem(cfg: StudyConfig) -> tuple[CoefficientSet, JumpModel | None]:
-    model = build_model(cfg.model, cfg.model_params)
-    jm = normal_marks(cfg.intensity) if cfg.intensity > 0.0 else None
-    return model, jm
-
-
 def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, x0,
            paths: range, fine_n: int, levels: list[int]) -> list[PathDraw]:
     """One coupled draw per path index in ``paths``: increments and jumps at
@@ -209,6 +201,7 @@ def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None)
     say = say or (lambda _msg: None)
     blocks = [range(s, min(s + block_size, num_paths)) for s in range(0, num_paths, block_size)]
     say(f"simulating {num_paths} paths in {len(blocks)} blocks")
+    workers = min(workers, len(blocks))  # a pool starts all its workers up front
     if workers > 1:
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, blocks))
@@ -221,7 +214,8 @@ def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None)
 
 def _study_block(cfg: StudyConfig, paths: range) -> dict:
     """Per-path error values for ``paths``; pure in (cfg, paths)."""
-    model, jump_model = _build_problem(cfg)
+    model = build_model(cfg.model, cfg.model_params)
+    jump_model = normal_marks(cfg.intensity) if cfg.intensity > 0.0 else None
     level_list = list(cfg.levels)
     draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n,
                    level_list + [cfg.reference_n])
@@ -329,8 +323,6 @@ class MomentRow:
 
 @dataclass
 class MomentTable:
-    q: float
-    variant: str
     rows: list[MomentRow]
 
     def max_min_ratio(self) -> float:
@@ -430,7 +422,7 @@ def moment_probe(
                 diverged_frac=sum(b[n][2] for b in blocks) / num_paths,
             )
         )
-    return MomentTable(q=q, variant=variant, rows=rows)
+    return MomentTable(rows=rows)
 
 
 @dataclass
@@ -444,7 +436,6 @@ class GapRow:
 
 @dataclass
 class GapTable:
-    p0: float
     rows: list[GapRow]
     exponents: dict[str, float | None]
 
@@ -529,19 +520,4 @@ def taming_gap_probe(
             exponents[name] = fit_rate(pts).slope
         except ValueError:
             exponents[name] = None
-    return GapTable(p0=p0, rows=rows, exponents=exponents)
-
-
-def write_report_csv(report: ErrorReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(report.to_csv())
-
-
-def write_report_json(report: ErrorReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def print_progress(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    return GapTable(rows=rows, exponents=exponents)

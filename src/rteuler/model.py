@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -23,12 +23,10 @@ class EnvState:
 
     ``regime`` is the current state of a switching chain (1-based), and
     ``delayed_state`` carries the lagged state vector for delay equations.
-    ``extra`` is an opaque slot for user extensions.
     """
 
     regime: int | None = None
     delayed_state: np.ndarray | None = None
-    extra: Any = None
 
 
 @dataclass
@@ -181,10 +179,6 @@ class GrowthReport:
 
     drift_constant: float
     diffusion_constant: float
-    drift_worst: tuple[float, np.ndarray]
-    diffusion_worst: tuple[float, np.ndarray]
-    zeta: float
-    n_samples: int
     box: tuple[float, float]
 
 
@@ -211,15 +205,9 @@ def probe_growth(
 
     mu_ratio = mu_norm / (1.0 + r ** (coeffs.zeta + 1.0))
     sig_ratio = sig_norm / (1.0 + r ** (coeffs.zeta / 2.0 + 1.0))
-    i_mu = int(np.argmax(mu_ratio))
-    i_sig = int(np.argmax(sig_ratio))
     return GrowthReport(
-        drift_constant=float(mu_ratio[i_mu]),
-        diffusion_constant=float(sig_ratio[i_sig]),
-        drift_worst=(float(t[i_mu]), x[i_mu].copy()),
-        diffusion_worst=(float(t[i_sig]), x[i_sig].copy()),
-        zeta=coeffs.zeta,
-        n_samples=n_samples,
+        drift_constant=float(mu_ratio.max()),
+        diffusion_constant=float(sig_ratio.max()),
         box=sample_box,
     )
 

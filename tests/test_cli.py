@@ -255,3 +255,77 @@ def test_simulate_zero_steps_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "simulate.n" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("converge", {"seeed": 3}, "seeed"),
+    ("converge", {"study": {"num_path": 5}}, "study.num_path"),
+    ("simulate", {"simulate": {"n": 4, "sdde": {"alpah0": 2}}}, "simulate.sdde.alpah0"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, doc, key):
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, **doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: unknown config key {key}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("moments", "moments", "n_list"), ("converge", "study", "levels"),
+    ("converge", "study", "p_list"),
+])
+def test_scalar_for_list_is_config_error(tmp_path, capsys, command, section, key):
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, **{section: {key: 64}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {section}.{key} must be a list, got 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--n", "0"], "simulate.n"),
+    (["converge", "--paths", "0"], "study.num_paths"),
+    (["converge", "--workers", "0"], "workers"),
+])
+def test_zero_flag_is_not_replaced_by_config(tmp_path, capsys, argv, key):
+    cfg = write_config(tmp_path, SMALL_STUDY)  # simulate.n 4, study.num_paths 40
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_workers_in_config_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, workers=0))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_power", 0, "taming.n_power must be > 0"),
+    ("x_power", -1, "taming.x_power must be >= 0"),
+])
+def test_bad_taming_exponent_names_taming_key(tmp_path, capsys, key, value, message):
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, taming={key: value}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_desk_config_names_every_schema_key():
+    from pathlib import Path
+
+    from rteuler.cli import SCHEMA, load_config
+
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "double_well_desk.yaml"
+    doc = yaml.safe_load(shipped.read_text())
+    load_config(str(shipped))
+    for section, keys in SCHEMA.items():
+        if section == "simulate.sdde":
+            continue  # optional: a plain simulate has no delay or switching
+        given = doc[section] if section else doc
+        missing = {k for k in keys if f"{section}.{k}" not in SCHEMA} - set(given)
+        assert not missing, f"{section or 'root'} lacks {sorted(missing)}"

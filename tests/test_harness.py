@@ -238,3 +238,30 @@ def test_report_json_shape(small_dw_study):
     assert doc["variant"] == "randomized_tamed"
     assert len(doc["rows"]) == 4 * 4
     assert set(doc["slopes"]) == {"1", "2", "3", "4"}
+
+
+def test_map_blocks_starts_no_more_workers_than_blocks(monkeypatch):
+    from types import SimpleNamespace
+
+    from rteuler import harness
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(harness, "futures", SimpleNamespace(ProcessPoolExecutor=SerialPool))
+    assert harness._map_blocks(len, 1000, 250, workers=16) == [250] * 4
+    assert harness._map_blocks(len, 500, 250, workers=2) == [250, 250]
+    assert harness._map_blocks(len, 100, 250, workers=16) == [100]  # one block: no pool
+    assert started == [4, 2]
