@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -111,6 +112,9 @@ def load_config(path: str | None) -> dict:
     config = {**_checked("", data), **sections}
     if config["simulate"]["sdde"]:
         config["simulate"]["sdde"] = _checked("simulate.sdde", config["simulate"]["sdde"])
+    intensity = config["jumps"]["intensity"]
+    if not (isinstance(intensity, (int, float)) and 0.0 <= intensity < math.inf):
+        raise ConfigError(f"jumps.intensity must be a finite number >= 0, got {intensity!r}")
     taming = config["taming"]
     try:
         taming["n_power"] = float(taming["n_power"])
@@ -237,11 +241,8 @@ def cmd_simulate(args, config: dict) -> int:
         raise ConfigError(f"simulate.n is {n}, simulate.variant is {variant!r}: {exc}") from exc
     out = _out_dir(config)
 
-    jm = normal_marks(intensity) if intensity > 0 else None
-    draw = make_path_draw(
-        seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,
-        levels=[n], jump_model=jm, x0=np.atleast_1d(np.asarray(x0, dtype=float)),
-    )
+    draw = make_path_draw(seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,
+                          levels=[n], jump_model=normal_marks(intensity), x0=x0)
 
     sdde = sec["sdde"]
     try:
@@ -288,6 +289,9 @@ def cmd_verify(args, config: dict) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model params: {exc}") from exc
     lam = float(sec["lambda_factor"])
+    n = int(sec["taming_n"])
+    if n < 1:
+        raise ConfigError(f"verify.taming_n must be >= 1, got {n}")
 
     lines = []
     for q in sec["q_values"]:
@@ -298,7 +302,6 @@ def cmd_verify(args, config: dict) -> int:
         lines.append(rep.format_row())
 
     model = double_well_model(dw)
-    n = int(sec["taming_n"])
     bounds = check_taming_bounds(model, TamingConfig(n=n, zeta=model.zeta, **config["taming"]))
     lines.append(
         f"taming bounds[n={n}]          ratio<=1: {bounds.ratio_violations} violations; "
@@ -329,11 +332,11 @@ def cmd_moments(args, config: dict) -> int:
     sec, taming = config["moments"], config["taming"]
     intensity = float(config["jumps"]["intensity"])
     out = _out_dir(config)
-    jm = normal_marks(intensity) if intensity > 0 else None
     try:
         table = harness.moment_probe(
             model, sec["variant"], sec["n_list"], float(sec["q"]), int(sec["num_paths"]),
-            x0=config["model"]["x0"], jump_model=jm, base_seed=int(config["seed"]),
+            x0=config["model"]["x0"], jump_model=normal_marks(intensity),
+            base_seed=int(config["seed"]),
             taming_n_power=taming["n_power"], taming_x_power=taming["x_power"],
         )
     except ValueError as exc:

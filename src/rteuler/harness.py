@@ -24,7 +24,8 @@ from functools import partial
 import numpy as np
 
 from .model import CoefficientSet, build_model
-from .rng import JumpModel, PathDraw, make_path_draw, normal_marks
+from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
+from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
     BatchResult,
     VARIANTS,
@@ -70,9 +71,11 @@ class StudyConfig:
         for n in self.levels:
             if self.reference_n % n != 0:
                 raise ValueError(f"reference_n {self.reference_n} not divisible by level {n}")
-        for v in self.variants + (self.reference_variant,):
+        for v in self.variants:
             if v not in VARIANTS:
-                raise ValueError(f"unknown scheme variant {v!r}")
+                raise ValueError(f"variants holds unknown scheme variant {v!r}")
+        if self.reference_variant not in VARIANTS:
+            raise ValueError(f"reference_variant is no scheme variant: {self.reference_variant!r}")
         if self.error_time not in ERROR_TIMES:
             raise ValueError(f"error_time must be one of {ERROR_TIMES}")
         if self.num_paths < 1:
@@ -182,14 +185,11 @@ class ErrorReport:
 
 
 def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, x0,
-           paths: range, fine_n: int, levels: list[int]) -> list[PathDraw]:
-    """One coupled draw per path index in ``paths``: increments and jumps at
-    ``fine_n`` steps, drift randomizers for each of ``levels``."""
-    return [
-        make_path_draw(base_seed, i, fine_n=fine_n, m=model.dim_noise, horizon=model.horizon,
-                       levels=levels, jump_model=jump_model, x0=x0)
-        for i in paths
-    ]
+           paths: range, fine_n: int, levels: list[int]) -> BlockDraw:
+    """The coupled draws of the path indices ``paths`` as one block: increments
+    and jumps at ``fine_n`` steps, drift randomizers for each of ``levels``."""
+    return make_block_draw(base_seed, paths, fine_n=fine_n, m=model.dim_noise,
+                           horizon=model.horizon, levels=levels, jump_model=jump_model, x0=x0)
 
 
 def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None) -> list:
@@ -486,8 +486,7 @@ def taming_gap_probe(
         ok = np.isfinite(x_left).all(axis=-1)
         t_left = np.arange(n) * dt  # (n,)
         if variant_is_randomized(variant):
-            phis = np.stack([d.phis[n] for d in draws])
-            t_drift = (t_left[None, :] + dt * phis)[..., None]
+            t_drift = (t_left[None, :] + dt * draws.phis[n])[..., None]
         else:
             t_drift = np.broadcast_to(t_left[None, :, None], x_left.shape[:2] + (1,))
         # gap factor: tamed f = f / D, so |f - tamed f| = |f| (D-1)/D

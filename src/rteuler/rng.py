@@ -6,10 +6,14 @@ a single base seed. Streams are keyed by ``(base_seed, path_index, tag,
 level)`` through numpy's SeedSequence into a counter-based Philox generator,
 so results are bit-identical across runs and across any worker layout, and
 distinct keys give statistically independent streams.
+
+``make_block_draw`` builds a block of paths' draws as arrays, deriving all
+their stream keys in one vectorized pass, with the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -42,17 +46,71 @@ class StreamKey:
         return np.random.Generator(np.random.Philox(seq))
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _POOL, _M32 = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, keeping its running constant, of a Python int or uint32 array."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def _philox_keys(base_seed: int, spawn_cols) -> np.ndarray:
+    """``SeedSequence(base_seed, spawn_key=row).generate_state(2, np.uint64)``,
+    the key ``Philox`` takes, for each row of the (path_index, tag, level)
+    int columns ``spawn_cols``, as (K, 2) uint64: a port of ``mix_entropy``
+    (pool of 4) and ``generate_state`` in wrapping uint32 arithmetic."""
+    seed = int(base_seed)
+    if seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {seed}")
+    run = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    spawn = []
+    for name, col in zip(("path_index", "tag", "level"), map(np.asarray, spawn_cols)):
+        if col.size and (col.min() < 0 or col.max() > _M32):
+            raise ValueError(f"{name} must lie in [0, 2**32), got {col.min()}..{col.max()}")
+        spawn.append(col.astype(np.uint32))
+    # with a spawn key, SeedSequence pads the seed's words to the pool size
+    entropy = run + [0] * (_POOL - len(run)) + spawn
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src, dst in itertools.permutations(range(_POOL), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # four uint32 words, read little-endian in pairs
+    w = [np.asarray(word, dtype=np.uint64) for word in map(_hasher(_INIT_B, _MULT_B), pool)]
+    return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)], axis=-1)
+
+
 def uniform_open_closed(gen: np.random.Generator, size=None) -> np.ndarray:
     """Uniform draws on (0, 1]: 1 - u with u uniform on [0, 1)."""
     return 1.0 - gen.random(size)
+
+
+def _normal_increments(gen: np.random.Generator, n_fine: int, m: int, horizon: float):
+    return gen.normal(0.0, math.sqrt(horizon / n_fine), size=(n_fine, m))
 
 
 def brownian_increments(key: StreamKey, n_fine: int, m: int, horizon: float) -> np.ndarray:
     """n_fine iid Normal(0, (T/n_fine) I_m) increment vectors, shape (n_fine, m)."""
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
-    gen = key.generator()
-    return gen.normal(0.0, math.sqrt(horizon / n_fine), size=(n_fine, m))
+    return _normal_increments(key.generator(), n_fine, m, horizon)
 
 
 def coarsen(fine: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -72,6 +130,17 @@ def coarsen(fine: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.
     return np.sum(fine.reshape(shape), axis=1, out=out)
 
 
+def _jumps(gen: np.random.Generator, intensity: float, horizon: float, mark_sampler):
+    if intensity < 0.0 or not math.isfinite(intensity):
+        raise ValueError("intensity must be finite and >= 0")
+    count = int(gen.poisson(intensity * horizon)) if intensity > 0.0 else 0
+    times = np.sort(horizon * uniform_open_closed(gen, count))
+    marks = np.asarray(mark_sampler(gen, count), dtype=float)
+    if marks.ndim == 1:
+        marks = marks[:, None]
+    return times, marks
+
+
 def jump_path(
     key: StreamKey,
     intensity: float,
@@ -83,15 +152,7 @@ def jump_path(
     Jump count is Poisson(intensity*horizon); times are iid uniform on
     (0, horizon], sorted; marks are iid draws from ``mark_sampler``.
     """
-    if intensity < 0.0 or not math.isfinite(intensity):
-        raise ValueError("intensity must be finite and >= 0")
-    gen = key.generator()
-    count = int(gen.poisson(intensity * horizon)) if intensity > 0.0 else 0
-    times = np.sort(horizon * uniform_open_closed(gen, count))
-    marks = np.asarray(mark_sampler(gen, count), dtype=float)
-    if marks.ndim == 1:
-        marks = marks[:, None]
-    return times, marks
+    return _jumps(key.generator(), intensity, horizon, mark_sampler)
 
 
 @dataclass(frozen=True)
@@ -146,60 +207,107 @@ class PathDraw:
             if len(phi) != n:
                 raise ValueError(f"phi array for level {n} has length {len(phi)}")
 
-    def increments_for(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Brownian increments on the n-cell grid (fine_n must be divisible),
-        written into ``out`` when given."""
+    def increments_for(self, n: int) -> np.ndarray:
+        """Brownian increments on the n-cell grid (fine_n must be divisible)."""
         if self.fine_n % n != 0:
             raise ValueError(f"level {n} does not divide fine resolution {self.fine_n}")
-        return coarsen(self.fine_increments, self.fine_n // n, out=out)
+        return coarsen(self.fine_increments, self.fine_n // n)
 
 
-def make_path_draw(
-    base_seed: int,
-    path_index: int,
-    *,
-    fine_n: int,
-    m: int,
-    horizon: float,
-    levels: tuple[int, ...] | list[int],
-    jump_model: JumpModel | None = None,
-    x0=0.0,
-) -> PathDraw:
+@dataclass
+class BlockDraw:
+    """The randomness of a block of paths as block-major arrays: row b is the
+    block's b-th path, holding what that path's ``PathDraw`` holds."""
+
+    fine_increments: np.ndarray  # (B, fine_n, m)
+    jump_times: np.ndarray  # (J,), in row order, then time order
+    jump_rows: np.ndarray  # (J,), the row of each jump
+    jump_marks: np.ndarray  # (J, mark_dim)
+    phis: dict[int, np.ndarray]  # n -> (B, n)
+    x0: np.ndarray  # (B, d)
+
+    @classmethod
+    def stack(cls, draws: list[PathDraw]) -> BlockDraw:
+        """The block of ``draws``, with the randomizer levels they all have."""
+        return cls(
+            fine_increments=np.stack([d.fine_increments for d in draws]),
+            jump_times=np.concatenate([d.jump_times for d in draws]),
+            jump_rows=np.repeat(np.arange(len(draws)), [len(d.jump_times) for d in draws]),
+            jump_marks=np.concatenate([d.jump_marks for d in draws]),
+            phis={n: np.stack([d.phis[n] for d in draws])
+                  for n in draws[0].phis if all(n in d.phis for d in draws)},
+            x0=np.stack([d.x0 for d in draws]),
+        )
+
+    def increments_for(self, n: int) -> np.ndarray:
+        """Brownian increments on the n-cell grid, (B, n, m): bit for bit each
+        row's ``coarsen``. At the fine resolution this is the fine array itself."""
+        B, fine_n, m = self.fine_increments.shape
+        if fine_n % n != 0:
+            raise ValueError(f"level {n} does not divide fine resolution {fine_n}")
+        if n == fine_n:
+            return self.fine_increments
+        return self.fine_increments.reshape(B, n, fine_n // n, m).sum(axis=2)
+
+
+def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizon: float,
+                    levels, jump_model: JumpModel | None = None, x0=0.0) -> BlockDraw:
+    """The draws of the path indices ``paths`` as one block; row b is bit for
+    bit ``make_path_draw(base_seed, paths[b], ...)``.
+
+    The keys come from one ``_philox_keys`` call; one Philox generator is
+    reset to each in turn, the state of a fresh ``StreamKey(...).generator()``.
+    So the generator passed to ``jump_model.mark_sampler`` or to a callable
+    ``x0`` is valid only during that call.
+    """
+    if fine_n < 1:
+        raise ValueError("fine_n must be >= 1")
+    jumps = jump_model is not None and jump_model.intensity > 0.0
+    levels = list(dict.fromkeys(int(n) for n in levels))
+    streams = ([(StreamTag.BROWNIAN, 0)] + [(StreamTag.JUMPS, 0)] * jumps
+               + [(StreamTag.RANDOMIZER, n) for n in levels]
+               + [(StreamTag.INIT, 0)] * callable(x0))
+    B, S = len(paths), len(streams)
+    tags, stream_levels = np.array(streams, dtype=np.int64).T
+    cols = (np.repeat(np.asarray(paths), S), np.tile(tags, B), np.tile(stream_levels, B))
+    keys = _philox_keys(base_seed, cols).reshape(B, S, 2)
+    gen = np.random.Generator(np.random.Philox(0))
+    fresh = gen.bit_generator.state  # counter 0, buffer_pos 4 (empty), has_uint32 0, uinteger 0
+
+    def stream(key):  # the generator, in a fresh one's state under ``key``
+        fresh["state"]["key"] = key
+        gen.bit_generator.state = fresh
+        return gen
+
+    fine, phis = np.empty((B, fine_n, m)), {n: np.empty((B, n)) for n in levels}
+    path_jumps, x0s = [], []
+    for b in range(B):
+        row = iter(keys[b])
+        fine[b] = _normal_increments(stream(next(row)), fine_n, m, horizon)
+        if jumps:
+            path_jumps.append(_jumps(stream(next(row)), jump_model.intensity, horizon,
+                                     jump_model.mark_sampler))
+        for n in levels:
+            phis[n][b] = uniform_open_closed(stream(next(row)), n)
+        x0s.append(x0(stream(next(row))) if callable(x0) else x0)
+    times = [np.empty(0)] + [t for t, _ in path_jumps]
+    marks = [np.empty((0, jump_model.mark_dim if jump_model else 1))] + [z for _, z in path_jumps]
+    return BlockDraw(fine_increments=fine, jump_times=np.concatenate(times),
+                     jump_rows=np.repeat(np.arange(len(path_jumps)), [len(t) for t in times[1:]]),
+                     jump_marks=np.concatenate(marks), phis=phis,
+                     x0=np.stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in x0s]))
+
+
+def make_path_draw(base_seed: int, path_index: int, *, fine_n: int, m: int, horizon: float,
+                   levels, jump_model: JumpModel | None = None, x0=0.0) -> PathDraw:
     """Build one path's full randomness as a pure function of (seed, index).
 
     ``levels`` lists every step count the draw will be simulated at (each gets
     its own randomizer stream). ``x0`` may be a fixed vector or a callable
-    ``gen -> vector`` sampled from the path's init stream.
+    ``gen -> vector`` sampled from the path's init stream. This is row 0 of
+    the one-path ``make_block_draw``.
     """
-    dW = brownian_increments(
-        StreamKey(base_seed, path_index, StreamTag.BROWNIAN), fine_n, m, horizon
-    )
-    if jump_model is not None and jump_model.intensity > 0.0:
-        times, marks = jump_path(
-            StreamKey(base_seed, path_index, StreamTag.JUMPS),
-            jump_model.intensity,
-            horizon,
-            jump_model.mark_sampler,
-        )
-    else:
-        times = np.empty(0)
-        marks = np.empty((0, jump_model.mark_dim if jump_model else 1))
-    phis = {
-        int(n): uniform_open_closed(
-            StreamKey(base_seed, path_index, StreamTag.RANDOMIZER, int(n)).generator(),
-            int(n),
-        )
-        for n in levels
-    }
-    if callable(x0):
-        x0 = x0(StreamKey(base_seed, path_index, StreamTag.INIT).generator())
-    return PathDraw(
-        fine_n=fine_n,
-        m=m,
-        horizon=horizon,
-        fine_increments=dW,
-        jump_times=times,
-        jump_marks=marks,
-        phis=phis,
-        x0=np.atleast_1d(np.asarray(x0, dtype=float)),
-    )
+    block = make_block_draw(base_seed, range(path_index, path_index + 1), fine_n=fine_n, m=m,
+                            horizon=horizon, levels=levels, jump_model=jump_model, x0=x0)
+    return PathDraw(fine_n, m, horizon, block.fine_increments[0], block.jump_times,
+                    block.jump_marks, {n: phi[0] for n, phi in block.phis.items()}, block.x0[0])

@@ -32,7 +32,7 @@ from . import taming
 from .grid import TimeGrid
 from .markov import MarkovPath
 from .model import CoefficientSet, EnvState
-from .rng import PathDraw
+from .rng import BlockDraw, PathDraw
 from .taming import TamingConfig
 
 log = logging.getLogger(__name__)
@@ -183,34 +183,25 @@ def step(
     return out
 
 
-def _jump_events(grid: TimeGrid, draws: list[PathDraw], mark_dim: int) -> dict:
-    """The batch's jump events by 1-based cell: k -> (rows, marks) in time order."""
-    jumpy = [d for d in draws if len(d.jump_times)]
-    # one cell_of over every event, concatenated in row order
-    cells = grid.cell_of(np.concatenate([np.empty(0)] + [d.jump_times for d in jumpy]))
-    rows = np.repeat(np.arange(len(draws)), [len(d.jump_times) for d in draws])
-    marks = np.concatenate([np.empty((0, mark_dim))] + [d.jump_marks for d in jumpy])
+def _jump_events(grid: TimeGrid, block: BlockDraw) -> dict:
+    """The block's jump events by 1-based cell: k -> (rows, marks) in time order."""
+    cells = grid.cell_of(block.jump_times)
     # stable sort by cell keeps the per-path time order within each cell
     order = np.argsort(cells, kind="stable")
-    cells, rows, marks = cells[order], rows[order], marks[order]
+    cells, rows, marks = cells[order], block.jump_rows[order], block.jump_marks[order]
     # each occupied cell's events run from its first index to the next cell's
     bounds = np.flatnonzero(np.diff(cells, prepend=0)).tolist() + [len(cells)]
     return {int(cells[lo]): (rows[lo:hi], marks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
 
 
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-draw arrays on a new first axis; a single array is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _run(
     models: dict[Hashable, CoefficientSet],
     cfg: SchemeConfig,
-    draws: list[PathDraw],
+    block: BlockDraw,
     intensity: float,
     step_env: Callable[[int, np.ndarray], tuple[Hashable, EnvState | None]],
 ) -> BatchResult:
-    """The stepping kernel: all draws in lockstep over the whole grid.
+    """The stepping kernel: all rows of the block in lockstep over the whole grid.
 
     ``step_env(k, states)`` names the model (a key of ``models``) and the
     environment for cell k; ``states`` is the (B, n+1, d) buffer, filled up
@@ -218,24 +209,21 @@ def _run(
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
-    n, d, m, B = cfg.n, some.dim_state, some.dim_noise, len(draws)
+    n, d, m, B = cfg.n, some.dim_state, some.dim_noise, len(block.x0)
     randomized = variant_is_randomized(cfg.variant)
-    for i, dr in enumerate(draws):
-        if dr.x0.shape != (d,):
-            raise ValueError(f"draw {i}: x0 has shape {dr.x0.shape}, model needs ({d},)")
-        if dr.m != m:
-            raise ValueError(f"draw {i}: increments have width {dr.m}, dim_noise is {m}")
-        if randomized and n not in dr.phis:
-            raise ValueError(f"draw {i} lacks randomizers (phis) for level n={n}")
+    if block.x0.shape != (B, d):
+        raise ValueError(f"x0 has shape {block.x0.shape}, model needs ({B}, {d})")
+    if block.fine_increments.shape[2] != m:
+        raise ValueError(f"increments have width {block.fine_increments.shape[2]}, "
+                         f"dim_noise is {m}")
     if randomized:
-        phis = _stacked([dr.phis[n] for dr in draws])  # (B, n)
+        if n not in block.phis:
+            raise ValueError(f"draws lack randomizers (phis) for level n={n}")
+        phis = block.phis[n]  # (B, n)
         if not (phis.min() > 0.0 and phis.max() <= 1.0):  # NaN fails both
             raise ValueError(f"randomizers (phis) for level n={n} must lie in (0, 1]")
-    # each draw's increments are coarsened straight into its row: no per-draw copies
-    dW = np.empty((B, n, m))
-    for i, dr in enumerate(draws):
-        dr.increments_for(n, out=dW[i])
-    cell_jumps = _jump_events(grid, draws, some.mark_dim)
+    dW = block.increments_for(n)  # (B, n, m); the fine array itself at the fine level
+    cell_jumps = _jump_events(grid, block)
     tamed = variant_is_tamed(cfg.variant)
     arms = {
         key: _arm(model, (cfg.taming or TamingConfig(n=n, zeta=model.zeta)) if tamed else None,
@@ -244,7 +232,7 @@ def _run(
     }
 
     states = np.empty((B, n + 1, d))
-    states[:, 0] = x = np.stack([dr.x0 for dr in draws])
+    states[:, 0] = x = block.x0
     dt = grid.dt
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, n + 1):
@@ -263,16 +251,18 @@ def _run(
 def simulate_paths(
     model: CoefficientSet,
     cfg: SchemeConfig,
-    draws: list[PathDraw],
+    draws: BlockDraw | list[PathDraw],
     intensity: float = 0.0,
     env: EnvState | None = None,
 ) -> BatchResult:
-    """Vectorized lockstep simulation of many independent paths.
+    """Vectorized lockstep simulation of many independent paths, given as a
+    block or as a list of draws (stacked into a block here).
 
     Diverged paths are recorded (first bad step index) instead of raising,
     and their later states are left non-finite.
     """
-    return _run({None: model}, cfg, draws, intensity, lambda k, states: (None, env))
+    block = draws if isinstance(draws, BlockDraw) else BlockDraw.stack(draws)
+    return _run({None: model}, cfg, block, intensity, lambda k, states: (None, env))
 
 
 def _single(res: BatchResult, grid: TimeGrid, regimes=None) -> Trajectory:
@@ -346,5 +336,5 @@ def simulate_sdde_switching(
         delayed = states[:, back] if back >= 0 else np.atleast_1d(segment(grid.point(k - 1)))
         return alpha, EnvState(regime=alpha, delayed_state=delayed)
 
-    res = _run(models_by_regime, cfg, [draw], intensity, step_env)
+    res = _run(models_by_regime, cfg, BlockDraw.stack([draw]), intensity, step_env)
     return _single(res, grid, regimes)

@@ -1,0 +1,146 @@
+"""Block-major draws: the same bits as the per-stream functions.
+
+``make_block_draw`` derives every stream key of a block with ``_philox_keys``
+and fills the block from one reused Philox generator. These tests pin the key
+port to numpy's SeedSequence, every block row to the per-key functions
+(``brownian_increments``, ``jump_path``, ``uniform_open_closed`` on
+``StreamKey(...).generator()``), and the kernel and the moment probe on blocks
+to the same computations on per-path draws.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rteuler as rt
+from rteuler import PathDraw, StreamKey, StreamTag, brownian_increments, coarsen, jump_path
+from rteuler.harness import moment_probe
+from rteuler.rng import _philox_keys, make_block_draw, uniform_open_closed
+from rteuler.scheme import SchemeConfig, simulate_paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**160),
+    keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 4),
+                            st.integers(0, 2**31 - 1)), min_size=1, max_size=8),
+)
+def test_philox_keys_equal_seed_sequence(seed, keys):
+    got = _philox_keys(seed, tuple(np.array(col) for col in zip(*keys)))
+    assert got.dtype == np.uint64 and got.shape == (len(keys), 2)
+    for row, key in zip(got, keys):
+        want = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+        assert np.array_equal(row, want)
+
+
+def test_philox_key_is_the_generators_key():
+    key = StreamKey(12345, 7, StreamTag.RANDOMIZER, 64)
+    got = _philox_keys(12345, ([7], [int(StreamTag.RANDOMIZER)], [64]))[0]
+    assert np.array_equal(got, key.generator().bit_generator.state["state"]["key"])
+
+
+@pytest.mark.parametrize("cols, name", [
+    (([2**32], [0], [0]), "path_index"),
+    (([0], [0], [2**32]), "level"),
+    (([-1], [0], [0]), "path_index"),
+])
+def test_philox_keys_reject_words_beyond_uint32(cols, name):
+    with pytest.raises(ValueError, match=name):
+        _philox_keys(0, cols)
+
+
+def _per_key_draw(seed, i, fine_n, m, horizon, levels, jump_model, x0):
+    """One path's draw built from ``StreamKey`` generators, one per stream."""
+    dW = brownian_increments(StreamKey(seed, i, StreamTag.BROWNIAN), fine_n, m, horizon)
+    if jump_model is not None:
+        times, marks = jump_path(StreamKey(seed, i, StreamTag.JUMPS), jump_model.intensity,
+                                 horizon, jump_model.mark_sampler)
+    else:
+        times, marks = np.empty(0), np.empty((0, 1))
+    phis = {n: uniform_open_closed(StreamKey(seed, i, StreamTag.RANDOMIZER, n).generator(), n)
+            for n in levels}
+    if callable(x0):
+        x0 = x0(StreamKey(seed, i, StreamTag.INIT).generator())
+    return PathDraw(fine_n=fine_n, m=m, horizon=horizon, fine_increments=dW, jump_times=times,
+                    jump_marks=marks, phis=phis, x0=x0)
+
+
+@pytest.mark.parametrize("B", [1, 5, 37])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("jumps", [False, True])
+@pytest.mark.parametrize("sampled_x0", [False, True])
+def test_block_rows_equal_per_key_functions(B, m, jumps, sampled_x0):
+    jump_model = rt.normal_marks(3.0) if jumps else None
+    x0 = (lambda gen: gen.normal(size=m)) if sampled_x0 else np.arange(1.0, m + 1.0)
+    paths, levels = range(11, 11 + B), [32, 8, 4]
+    block = make_block_draw(2**70 + 3, paths, fine_n=32, m=m, horizon=2.0, levels=levels,
+                            jump_model=jump_model, x0=x0)
+    assert block.fine_increments.shape == (B, 32, m) and block.x0.shape == (B, m)
+    for b, i in enumerate(paths):
+        want = _per_key_draw(2**70 + 3, i, 32, m, 2.0, levels, jump_model, x0)
+        assert np.array_equal(block.fine_increments[b], want.fine_increments)
+        assert np.array_equal(block.x0[b], want.x0)
+        for n in levels:
+            assert np.array_equal(block.phis[n][b], want.phis[n])
+        on_row = block.jump_rows == b
+        assert np.array_equal(block.jump_times[on_row], want.jump_times)
+        assert np.array_equal(block.jump_marks[on_row], want.jump_marks)
+    # flat jumps run in row order, then time order
+    assert np.all(np.diff(block.jump_rows) >= 0)
+    if jumps:
+        assert len(block.jump_times) > 0
+
+
+def test_make_path_draw_is_row_of_block(jumps_unit):
+    kw = dict(fine_n=64, m=1, horizon=1.0, levels=[64, 16], jump_model=jumps_unit, x0=2.0)
+    block = make_block_draw(5, range(3, 6), **kw)
+    draw = rt.make_path_draw(5, 4, **kw)
+    assert np.array_equal(draw.fine_increments, block.fine_increments[1])
+    assert np.array_equal(draw.phis[16], block.phis[16][1])
+    assert np.array_equal(draw.jump_times, block.jump_times[block.jump_rows == 1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_increments_for_equals_per_row_coarsen(m):
+    block = make_block_draw(9, range(37), fine_n=512, m=m, horizon=1.0, levels=[])
+    for n in (1, 4, 64, 256, 512):
+        got = block.increments_for(n)
+        assert got.shape == (37, n, m)
+        for b in range(37):
+            assert np.array_equal(got[b], coarsen(block.fine_increments[b], 512 // n))
+    assert np.shares_memory(block.increments_for(512), block.fine_increments)
+    with pytest.raises(ValueError, match="does not divide"):
+        block.increments_for(48)
+
+
+@pytest.mark.parametrize("variant", ["randomized_tamed", "classical"])
+def test_simulate_paths_on_block_equals_on_draw_list(dw_model, jumps_unit, variant):
+    kw = dict(fine_n=256, m=1, horizon=1.0, levels=[256, 64], jump_model=jumps_unit,
+              x0=lambda gen: 2.0 + gen.normal(size=1))
+    block = make_block_draw(3, range(20), **kw)
+    draws = [rt.make_path_draw(3, i, **kw) for i in range(20)]
+    for n in (256, 64):
+        tamed = variant == "randomized_tamed"
+        cfg = SchemeConfig(variant, n, rt.TamingConfig(n=n, zeta=dw_model.zeta) if tamed else None)
+        got = simulate_paths(dw_model, cfg, block, jumps_unit.intensity)
+        want = simulate_paths(dw_model, cfg, draws, jumps_unit.intensity)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged_at, want.diverged_at)
+
+
+def test_moment_probe_equals_reduction_over_per_key_draws(dw_model, jumps_unit):
+    # at x0 = 0.3 the sup is away from t = 0, so it sees every draw
+    n_list, q, num_paths = [16, 64], 4.0, 50
+    got = moment_probe(dw_model, "randomized_tamed", n_list, q, num_paths, x0=0.3,
+                       jump_model=jumps_unit, base_seed=8, block_size=16)
+    draws = [_per_key_draw(8, i, 64, 1, dw_model.horizon, n_list, jumps_unit, np.array([0.3]))
+             for i in range(num_paths)]
+    for row, n in zip(got.rows, n_list):
+        cfg = SchemeConfig("randomized_tamed", n, rt.TamingConfig(n=n, zeta=dw_model.zeta))
+        sums = np.zeros(n + 1)
+        for lo in range(0, num_paths, 16):  # the probe's blocks, added in block order
+            states = simulate_paths(dw_model, cfg, draws[lo:lo + 16], jumps_unit.intensity).states
+            sums += (np.linalg.norm(states, axis=-1) ** q).sum(axis=0)
+        per_point = sums / num_paths
+        assert row.sup_moment == per_point.max()
+        assert per_point.argmax() > 0

@@ -329,3 +329,36 @@ def test_desk_config_names_every_schema_key():
         given = doc[section] if section else doc
         missing = {k for k in keys if f"{section}.{k}" not in SCHEMA} - set(given)
         assert not missing, f"{section or 'root'} lacks {sorted(missing)}"
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "moments"])
+@pytest.mark.parametrize("intensity", [-1.0, float("nan"), float("inf"), "many"])
+def test_bad_jump_intensity_is_config_error_in_every_command(tmp_path, capsys, command,
+                                                              intensity):
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, jumps={"intensity": intensity}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: jumps.intensity must be ")
+    assert not out.exists()
+
+
+def test_zero_verify_taming_n_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, verify={"taming_n": 0}))
+    assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: verify.taming_n must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("study, key", [
+    ({"variants": ["randomized_tamed", "nope"]}, "study.variants"),
+    ({"reference_variant": "nope"}, "study.reference_variant"),
+])
+def test_unknown_variant_names_its_key(tmp_path, capsys, study, key):
+    doc = dict(SMALL_STUDY, study=dict(SMALL_STUDY["study"], **study))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ") and "'nope'" in err
+    assert not out.exists()
