@@ -112,6 +112,7 @@ def load_config(path: str | None) -> dict:
     config = {**_checked("", data), **sections}
     if config["simulate"]["sdde"]:
         config["simulate"]["sdde"] = _checked("simulate.sdde", config["simulate"]["sdde"])
+    _check_seed(config)
     intensity = config["jumps"]["intensity"]
     if not (isinstance(intensity, (int, float)) and 0.0 <= intensity < math.inf):
         raise ConfigError(f"jumps.intensity must be a finite number >= 0, got {intensity!r}")
@@ -124,6 +125,12 @@ def load_config(path: str | None) -> dict:
     return config
 
 
+def _check_seed(config: dict) -> None:
+    seed = config["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _apply_flags(config: dict, args) -> None:
     """Override each config key from its flag in ``FLAGS``, if the flag was given."""
     for flag, dotted in FLAGS[args.command].items():
@@ -134,6 +141,7 @@ def _apply_flags(config: dict, args) -> None:
         if isinstance(SCHEMA[section][key], (list, tuple)) and not isinstance(value, list):
             value = [value]
         (config[section] if section else config)[key] = value
+    _check_seed(config)
 
 
 def _model(config: dict):

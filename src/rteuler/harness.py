@@ -27,8 +27,10 @@ from .model import CoefficientSet, build_model
 from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
 from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
+    CHUNK,
     BatchResult,
     VARIANTS,
+    _chunks,
     scheme_config,
     simulate_paths,
     variant_is_randomized,
@@ -59,7 +61,7 @@ class StudyConfig:
     intensity: float = 1.0
     taming_n_power: float = 0.5
     taming_x_power: float | None = None
-    block_size: int = 250
+    block_size: int = 500
 
     def __post_init__(self):
         if not self.levels:
@@ -220,20 +222,24 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n,
                    level_list + [cfg.reference_n])
     tame = dict(zeta=model.zeta, n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
+    factors = [cfg.reference_n // n for n in level_list]
+    # the reference keeps only the points the errors read: the terminal one, or
+    # every point of the finest grid that holds all the levels' grids
+    stride = math.gcd(*factors)
+    terminal = cfg.error_time == "terminal"
     ref = simulate_paths(
-        model, scheme_config(cfg.reference_variant, cfg.reference_n, **tame), draws, cfg.intensity
+        model, scheme_config(cfg.reference_variant, cfg.reference_n, **tame), draws,
+        cfg.intensity, keep=slice(-1, None) if terminal else slice(None, None, stride),
     )
     out: dict = {"ref_diverged": ref.diverged.copy()}
     for variant in cfg.variants:
         errs = np.empty((len(paths), len(level_list)))
         for j, n in enumerate(level_list):
-            lvl = simulate_paths(model, scheme_config(variant, n, **tame), draws, cfg.intensity)
-            factor = cfg.reference_n // n
-            if cfg.error_time == "terminal":
-                diff = np.linalg.norm(ref.states[:, -1] - lvl.states[:, -1], axis=-1)
-            else:
-                ref_on_coarse = ref.states[:, ::factor]
-                diff = np.linalg.norm(ref_on_coarse - lvl.states, axis=-1).max(axis=1)
+            lvl = simulate_paths(model, scheme_config(variant, n, **tame), draws, cfg.intensity,
+                                 keep=slice(-1, None) if terminal else slice(None))
+            # at the terminal time both hold one point, and the max is over it
+            ref_on_coarse = ref.states[:, :: factors[j] // stride]
+            diff = np.linalg.norm(ref_on_coarse - lvl.states, axis=-1).max(axis=1)
             diff = np.where(ref.diverged | lvl.diverged, np.nan, diff)
             errs[:, j] = diff
         out[variant] = errs
@@ -332,29 +338,33 @@ class MomentTable:
         return max(vals) / min(vals)
 
 
-MOMENT_CHUNK = 128  # grid points per column chunk of the moment reduction
+MOMENT_CHUNK = CHUNK  # grid points per column chunk of the moment reduction
+
+
+def _add_chunk(q: float, sums: np.ndarray, bad: np.ndarray, lo: int, chunk: np.ndarray):
+    """Add the sums over paths of |x_k|^q of ``chunk``, the (B, w, d) states of
+    grid points lo..lo+w-1, into ``sums`` (n+1,), and flag the points with a
+    non-finite state in ``bad`` (n+1,).
+
+    Grid points are independent and each one's sum over paths keeps its row
+    order, so over ``_chunks`` the bits equal one whole-array reduction. No
+    chunk may be one column wide: numpy sums a single column pairwise rather
+    than row by row, which changes the bits.
+    """
+    hi = lo + chunk.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(chunk, axis=-1)  # (B, hi-lo)
+        finite = np.isfinite(norms)
+        powered = np.where(finite, norms, 0.0) ** q
+    sums[lo:hi] += powered.sum(axis=0)
+    bad[lo:hi] |= ~finite.all(axis=0)
 
 
 def _add_moments(res: BatchResult, q: float, sums: np.ndarray, bad: np.ndarray) -> int:
-    """Add one level's sums over paths of |x_k|^q into ``sums`` (n+1,), flag
-    the grid points with a non-finite state in ``bad`` (n+1,), and return the
-    number of diverged paths.
-
-    Works through column chunks of ``res.states`` so its temporaries stay
-    small. Grid points are independent and each one's sum over paths keeps its
-    row order, so the bits equal one whole-array reduction. The last chunk
-    also takes the final point, so no chunk is one column wide: numpy sums a
-    single column pairwise rather than row by row, which changes the bits.
-    """
-    n = res.states.shape[1] - 1
-    for lo in range(0, n, MOMENT_CHUNK):
-        hi = lo + MOMENT_CHUNK if lo + MOMENT_CHUNK < n else n + 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(res.states[:, lo:hi], axis=-1)  # (B, hi-lo)
-            finite = np.isfinite(norms)
-            powered = np.where(finite, norms, 0.0) ** q
-        sums[lo:hi] += powered.sum(axis=0)
-        bad[lo:hi] |= ~finite.all(axis=0)
+    """``_add_chunk`` over the chunks of ``res.states`` (all points); returns
+    the number of diverged paths."""
+    for lo, hi in _chunks(res.states.shape[1] - 1):
+        _add_chunk(q, sums, bad, lo, res.states[:, lo:hi])
     return int(res.diverged.sum())
 
 
@@ -396,14 +406,14 @@ def moment_probe(
 
     def run_block(paths: range) -> dict:
         # The block's draws die when this returns, before the next block's are
-        # built; each level's result dies before the next level's states exist.
+        # built; the kernel reduces each chunk of states as it is stepped.
         draws = _draws(model, jump_model, base_seed, x0, paths, fine, levels)
         out = {}
         for n in n_list:
             sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
-            res = simulate_paths(model, cfgs[n], draws, intensity)
-            out[n] = sums, bad, _add_moments(res, q, sums, bad)
-            del res
+            res = simulate_paths(model, cfgs[n], draws, intensity, keep=slice(0),
+                                 on_chunk=partial(_add_chunk, q, sums, bad))
+            out[n] = sums, bad, int(res.diverged.sum())
         return out
 
     blocks = _map_blocks(run_block, num_paths, block_size)

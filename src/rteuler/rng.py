@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
@@ -214,6 +215,30 @@ class PathDraw:
         return coarsen(self.fine_increments, self.fine_n // n)
 
 
+class _Randomizers(Mapping):
+    """A block's drift randomizers by level: ``[n]`` fills a new (B, n) array
+    from the level's (B, 2) stream keys through ``make_block_draw``'s
+    ``stream``, so each level's array lives only as long as its reader keeps it."""
+
+    def __init__(self, keys: dict[int, np.ndarray], stream):
+        self._keys, self._stream = keys, stream
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        out = np.empty((len(self._keys[n]), n))
+        for b, key in enumerate(self._keys[n]):
+            out[b] = uniform_open_closed(self._stream(key), n)
+        return out
+
+    def __contains__(self, n) -> bool:  # Mapping's would fill the array
+        return n in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass
 class BlockDraw:
     """The randomness of a block of paths as block-major arrays: row b is the
@@ -223,7 +248,7 @@ class BlockDraw:
     jump_times: np.ndarray  # (J,), in row order, then time order
     jump_rows: np.ndarray  # (J,), the row of each jump
     jump_marks: np.ndarray  # (J, mark_dim)
-    phis: dict[int, np.ndarray]  # n -> (B, n)
+    phis: Mapping[int, np.ndarray]  # n -> (B, n); filled when read if built by make_block_draw
     x0: np.ndarray  # (B, d)
 
     @classmethod
@@ -258,7 +283,7 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     The keys come from one ``_philox_keys`` call; one Philox generator is
     reset to each in turn, the state of a fresh ``StreamKey(...).generator()``.
     So the generator passed to ``jump_model.mark_sampler`` or to a callable
-    ``x0`` is valid only during that call.
+    ``x0`` is valid only during that call. Randomizers are filled when read.
     """
     if fine_n < 1:
         raise ValueError("fine_n must be >= 1")
@@ -279,17 +304,14 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
         gen.bit_generator.state = fresh
         return gen
 
-    fine, phis = np.empty((B, fine_n, m)), {n: np.empty((B, n)) for n in levels}
-    path_jumps, x0s = [], []
+    fine, path_jumps, x0s = np.empty((B, fine_n, m)), [], []
     for b in range(B):
-        row = iter(keys[b])
-        fine[b] = _normal_increments(stream(next(row)), fine_n, m, horizon)
+        fine[b] = _normal_increments(stream(keys[b, 0]), fine_n, m, horizon)
         if jumps:
-            path_jumps.append(_jumps(stream(next(row)), jump_model.intensity, horizon,
+            path_jumps.append(_jumps(stream(keys[b, 1]), jump_model.intensity, horizon,
                                      jump_model.mark_sampler))
-        for n in levels:
-            phis[n][b] = uniform_open_closed(stream(next(row)), n)
-        x0s.append(x0(stream(next(row))) if callable(x0) else x0)
+        x0s.append(x0(stream(keys[b, -1])) if callable(x0) else x0)
+    phis = _Randomizers({n: keys[:, 1 + jumps + j] for j, n in enumerate(levels)}, stream)
     times = [np.empty(0)] + [t for t, _ in path_jumps]
     marks = [np.empty((0, jump_model.mark_dim if jump_model else 1))] + [z for _, z in path_jumps]
     return BlockDraw(fine_increments=fine, jump_times=np.concatenate(times),

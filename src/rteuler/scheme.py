@@ -23,6 +23,7 @@ terms by it, bit for bit what stepping ``taming.tame``'d coefficients gives.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -106,7 +107,7 @@ class Trajectory:
 
 @dataclass
 class BatchResult:
-    states: np.ndarray  # (B, n+1, d)
+    states: np.ndarray  # (B, kept points, d); all n+1 points by default
     diverged_at: np.ndarray  # (B,) first non-finite step index, -1 if none
 
     @property
@@ -194,18 +195,32 @@ def _jump_events(grid: TimeGrid, block: BlockDraw) -> dict:
     return {int(cells[lo]): (rows[lo:hi], marks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
 
 
+CHUNK = 128  # grid points per chunk of the kernel's state buffer
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the chunks of grid points 0..n: ``CHUNK`` points
+    each, the last also taking the final point (so none is one point wide)."""
+    return [(lo, lo + CHUNK if lo + CHUNK < n else n + 1) for lo in range(0, n, CHUNK)]
+
+
 def _run(
     models: dict[Hashable, CoefficientSet],
     cfg: SchemeConfig,
     block: BlockDraw,
     intensity: float,
     step_env: Callable[[int, np.ndarray], tuple[Hashable, EnvState | None]],
+    keep: slice = slice(None),
+    on_chunk: Callable[[int, np.ndarray], None] | None = None,
 ) -> BatchResult:
     """The stepping kernel: all rows of the block in lockstep over the whole grid.
 
     ``step_env(k, states)`` names the model (a key of ``models``) and the
     environment for cell k; ``states`` is the (B, n+1, d) buffer, filled up
-    to index k-1. Every model shares the first one's dimensions and horizon.
+    to index k-1, when ``keep`` is all points. Every model shares the first
+    one's dimensions and horizon. The states are stepped into ``_chunks``; of
+    each, the points ``keep`` selects go to the result and ``on_chunk(lo,
+    chunk)`` gets all its (B, hi-lo, d) states.
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
@@ -231,20 +246,31 @@ def _run(
         for key, model in models.items()
     }
 
-    states = np.empty((B, n + 1, d))
-    states[:, 0] = x = block.x0
-    dt = grid.dt
+    kept = range(n + 1)[keep]  # ascending: a slice with a positive step
+    states = np.empty((B, len(kept), d))
+    whole = keep == slice(None)  # then each chunk is a view of ``states``
+    buf = states if whole else np.empty((B, min(n, CHUNK) + 1, d))
+    buf[:, 0] = x = block.x0  # the first chunk's point 0
+    diverged_at, dt = np.full(B, -1), grid.dt
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, n + 1):
-            t_left = grid.point(k - 1)
-            t_drift = t_left + dt * phis[:, k - 1 : k] if randomized else t_left
-            key, env = step_env(k, states)
-            jumps = cell_jumps.get(k)
-            x = _cell(x, t_left, t_drift, dt, dW[:, k - 1], arms[key], env, intensity, jumps)
-            states[:, k] = x
-
-    bad = ~np.isfinite(states).all(axis=2)  # (B, n+1)
-    diverged_at = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+        for lo, hi in _chunks(n):
+            chunk = buf[:, lo:hi] if whole else buf[:, : hi - lo]
+            for k in range(max(lo, 1), hi):
+                t_left = grid.point(k - 1)
+                t_drift = t_left + dt * phis[:, k - 1 : k] if randomized else t_left
+                key, env = step_env(k, states)
+                jumps = cell_jumps.get(k)
+                x = _cell(x, t_left, t_drift, dt, dW[:, k - 1], arms[key], env, intensity, jumps)
+                chunk[:, k - lo] = x
+            bad = ~np.isfinite(chunk).all(axis=2)  # (B, hi-lo)
+            first = (diverged_at < 0) & bad.any(axis=1)
+            diverged_at[first] = lo + bad[first].argmax(axis=1)
+            if not whole:
+                a, b = bisect_left(kept, lo), bisect_left(kept, hi)
+                part = kept[a:b]
+                states[:, a:b] = chunk[:, part.start - lo : part.stop - lo : part.step]
+            if on_chunk is not None:
+                on_chunk(lo, chunk)
     return BatchResult(states=states, diverged_at=diverged_at)
 
 
@@ -254,15 +280,20 @@ def simulate_paths(
     draws: BlockDraw | list[PathDraw],
     intensity: float = 0.0,
     env: EnvState | None = None,
+    *,
+    keep: slice = slice(None),
+    on_chunk: Callable[[int, np.ndarray], None] | None = None,
 ) -> BatchResult:
     """Vectorized lockstep simulation of many independent paths, given as a
     block or as a list of draws (stacked into a block here).
 
     Diverged paths are recorded (first bad step index) instead of raising,
-    and their later states are left non-finite.
+    and their later states are left non-finite. The result keeps the grid
+    points ``keep`` selects (``slice(-1, None)``: the terminal one); see ``_run``.
     """
     block = draws if isinstance(draws, BlockDraw) else BlockDraw.stack(draws)
-    return _run({None: model}, cfg, block, intensity, lambda k, states: (None, env))
+    return _run({None: model}, cfg, block, intensity, lambda k, states: (None, env),
+                keep, on_chunk)
 
 
 def _single(res: BatchResult, grid: TimeGrid, regimes=None) -> Trajectory:

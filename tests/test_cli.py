@@ -362,3 +362,21 @@ def test_unknown_variant_names_its_key(tmp_path, capsys, study, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} ") and "'nope'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "moments"])
+@pytest.mark.parametrize("flag, seed, shown", [
+    (True, -1, "-1"),
+    (False, -1, "-1"),
+    (False, 1.5, "1.5"),
+    (False, "x", "'x'"),
+    (False, True, "True"),
+])
+def test_bad_seed_is_config_error_before_any_output(tmp_path, capsys, command, flag, seed,
+                                                     shown):
+    doc = SMALL_STUDY if flag else dict(SMALL_STUDY, seed=seed)
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+    assert main(argv + (["--seed", str(seed)] if flag else [])) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: seed must be an integer >= 0, got {shown}\n"
+    assert not out.exists()
