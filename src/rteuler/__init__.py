@@ -2,7 +2,6 @@
 plus a coupled-path Monte Carlo harness for strong convergence rates."""
 
 from .constraints import (
-    ConstraintReport,
     check_coercivity,
     check_double_well_monotonicity_empirical,
     check_monotonicity,
@@ -11,11 +10,6 @@ from .constraints import (
 )
 from .grid import TimeGrid
 from .harness import (
-    ErrorReport,
-    ErrorRow,
-    GapTable,
-    MomentTable,
-    RateFit,
     StudyConfig,
     fit_rate,
     moment_probe,
@@ -27,7 +21,6 @@ from .model import (
     CoefficientSet,
     DoubleWellParams,
     EnvState,
-    GrowthReport,
     build_model,
     double_well_model,
     probe_growth,
@@ -50,42 +43,32 @@ from .scheme import (
     BatchResult,
     DivergedPathError,
     SchemeConfig,
-    Trajectory,
     VARIANTS,
     simulate_path,
     simulate_paths,
     simulate_sdde_switching,
     step,
 )
-from .taming import BoundReport, TamingConfig, check_taming_bounds, denominator, tame
+from .taming import TamingConfig, check_taming_bounds, denominator, tame
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BatchResult",
-    "BoundReport",
     "CoefficientSet",
-    "ConstraintReport",
     "DivergedPathError",
     "DoubleWellParams",
     "EnvState",
-    "ErrorReport",
-    "ErrorRow",
-    "GapTable",
     "Generator",
-    "GrowthReport",
     "JumpModel",
     "MarkovPath",
-    "MomentTable",
     "PathDraw",
-    "RateFit",
     "SchemeConfig",
     "StreamKey",
     "StreamTag",
     "StudyConfig",
     "TimeGrid",
     "TamingConfig",
-    "Trajectory",
     "VARIANTS",
     "brownian_increments",
     "build_model",

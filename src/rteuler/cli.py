@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="parameter constraint table")
-    common(p)
+    p.add_argument("--config", help="YAML config file")
+    p.add_argument("--out", help="also write the table to this file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("moments", help="empirical moment-boundedness probe")

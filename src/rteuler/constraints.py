@@ -23,6 +23,9 @@ from .model import DoubleWellParams, double_well_model
 _LN10 = math.log(10.0)
 # reports switch to log10 presentation beyond this |log10| magnitude
 _LINEAR_LOG10_LIMIT = 12.0
+# the sampled monotonicity check: state box and Gauss-Hermite nodes of the mark law
+_SAMPLE_BOX = (-5.0, 5.0)
+_QUAD_NODES = 64
 
 
 def normal_moment(p: int) -> float:
@@ -164,8 +167,6 @@ def check_double_well_monotonicity_empirical(
     n_samples: int = 4096,
     seed: int = 0,
     intensity: float = 1.0,
-    box: tuple[float, float] = (-5.0, 5.0),
-    quad_nodes: int = 64,
 ) -> EmpiricalMonotonicityReport:
     """Sample (s, t, x, y) and fit the smallest C with
 
@@ -180,19 +181,19 @@ def check_double_well_monotonicity_empirical(
         raise ValueError("n_samples must be >= 1")
     coeffs = double_well_model(params)
     gen = np.random.default_rng(seed)
-    lo, hi = box
+    lo, hi = _SAMPLE_BOX
     s = gen.random(n_samples)
     t = gen.random(n_samples)
     x = gen.uniform(lo, hi, size=(n_samples, 1))
     y = gen.uniform(lo, hi, size=(n_samples, 1))
 
-    nodes, weights = np.polynomial.hermite_e.hermegauss(quad_nodes)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUAD_NODES)
     weights = weights / math.sqrt(2.0 * math.pi)  # probabilists' normalization
 
     dmu = coeffs.drift(s[:, None], x) - coeffs.drift(s[:, None], y)
     dsig = coeffs.diffusion(t[:, None], x) - coeffs.diffusion(t[:, None], y)
-    # (n_samples, quad_nodes): jump difference at each quadrature mark
-    z = np.broadcast_to(nodes[None, :, None], (n_samples, quad_nodes, 1))
+    # (n_samples, _QUAD_NODES): jump difference at each quadrature mark
+    z = np.broadcast_to(nodes[None, :, None], (n_samples, _QUAD_NODES, 1))
     tq = t[:, None, None]
     dgam = coeffs.jump(tq, x[:, None, :], z) - coeffs.jump(tq, y[:, None, :], z)
     jump_term = intensity * np.sum(weights[None, :] * np.sum(dgam**2, axis=-1), axis=1)

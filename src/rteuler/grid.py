@@ -45,18 +45,14 @@ class TimeGrid:
         """All n+1 grid points as an array."""
         return np.arange(self.n + 1) * self.horizon / self.n
 
-    def kappa_index(self, t: float) -> int:
-        """Index k-1 of the cell [t_{k-1}, t_k) containing t; t = T maps to n-1."""
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return min(int(math.floor(t * self.n / self.horizon)), self.n - 1)
-
     def kappa(self, t: float) -> float:
-        """Left endpoint t_{k-1} of the cell containing t.
+        """Left endpoint t_{k-1} of the cell [t_{k-1}, t_k) containing t.
 
         The last cell is treated as closed on the right, so kappa(T) = t_{n-1}.
         """
-        return self.point(self.kappa_index(t))
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"time {t} outside [0, {self.horizon}]")
+        return self.point(min(int(math.floor(t * self.n / self.horizon)), self.n - 1))
 
     def xi(self, k: int, phi: float) -> float:
         """Randomized evaluation point t_{k-1} + dt*phi inside cell k (1-based).

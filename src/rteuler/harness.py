@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -27,10 +27,7 @@ from .model import CoefficientSet, build_model
 from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
 from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
-    CHUNK,
-    BatchResult,
     VARIANTS,
-    _chunks,
     scheme_config,
     simulate_paths,
     variant_is_randomized,
@@ -40,6 +37,8 @@ from .taming import denominator
 
 ERROR_TIMES = ("terminal", "max_over_grid")
 N_BATCHES = 20  # batches of the batch-means standard error
+GAP_MARK_SAMPLE = 128  # marks of taming_gap_probe's jump-gap expectation
+GAP_MAX_PAIRS = 32768  # most (state, time) pairs that expectation is evaluated at
 
 
 @dataclass(frozen=True)
@@ -164,34 +163,17 @@ class ErrorReport:
         return {
             "variant": self.variant,
             "metadata": self.metadata,
-            "rows": [
-                {
-                    "dt": r.dt,
-                    "p": r.p,
-                    "error": r.error,
-                    "stderr": r.stderr,
-                    "diverged_frac": r.diverged_frac,
-                    "usable": r.usable,
-                }
-                for r in self.rows
-            ],
-            "slopes": {
-                f"{p:g}": (
-                    {"slope": f.slope, "intercept": f.intercept, "residual": f.residual}
-                    if f
-                    else None
-                )
-                for p, f in self.slopes.items()
-            },
+            "rows": [{**asdict(r), "usable": r.usable} for r in self.rows],
+            "slopes": {f"{p:g}": asdict(f) if f else None for p, f in self.slopes.items()},
         }
 
 
 def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, x0,
-           paths: range, fine_n: int, levels: list[int]) -> BlockDraw:
+           paths: range, fine_n: int) -> BlockDraw:
     """The coupled draws of the path indices ``paths`` as one block: increments
-    and jumps at ``fine_n`` steps, drift randomizers for each of ``levels``."""
+    and jumps at ``fine_n`` steps, drift randomizers at any level."""
     return make_block_draw(base_seed, paths, fine_n=fine_n, m=model.dim_noise,
-                           horizon=model.horizon, levels=levels, jump_model=jump_model, x0=x0)
+                           horizon=model.horizon, jump_model=jump_model, x0=x0)
 
 
 def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None) -> list:
@@ -218,11 +200,9 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     """Per-path error values for ``paths``; pure in (cfg, paths)."""
     model = build_model(cfg.model, cfg.model_params)
     jump_model = normal_marks(cfg.intensity) if cfg.intensity > 0.0 else None
-    level_list = list(cfg.levels)
-    draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n,
-                   level_list + [cfg.reference_n])
+    draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n)
     tame = dict(zeta=model.zeta, n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
-    factors = [cfg.reference_n // n for n in level_list]
+    factors = [cfg.reference_n // n for n in cfg.levels]
     # the reference keeps only the points the errors read: the terminal one, or
     # every point of the finest grid that holds all the levels' grids
     stride = math.gcd(*factors)
@@ -233,8 +213,8 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     )
     out: dict = {"ref_diverged": ref.diverged.copy()}
     for variant in cfg.variants:
-        errs = np.empty((len(paths), len(level_list)))
-        for j, n in enumerate(level_list):
+        errs = np.empty((len(paths), len(cfg.levels)))
+        for j, n in enumerate(cfg.levels):
             lvl = simulate_paths(model, scheme_config(variant, n, **tame), draws, cfg.intensity,
                                  keep=slice(-1, None) if terminal else slice(None))
             # at the terminal time both hold one point, and the max is over it
@@ -338,9 +318,6 @@ class MomentTable:
         return max(vals) / min(vals)
 
 
-MOMENT_CHUNK = CHUNK  # grid points per column chunk of the moment reduction
-
-
 def _add_chunk(q: float, sums: np.ndarray, bad: np.ndarray, lo: int, chunk: np.ndarray):
     """Add the sums over paths of |x_k|^q of ``chunk``, the (B, w, d) states of
     grid points lo..lo+w-1, into ``sums`` (n+1,), and flag the points with a
@@ -358,14 +335,6 @@ def _add_chunk(q: float, sums: np.ndarray, bad: np.ndarray, lo: int, chunk: np.n
         powered = np.where(finite, norms, 0.0) ** q
     sums[lo:hi] += powered.sum(axis=0)
     bad[lo:hi] |= ~finite.all(axis=0)
-
-
-def _add_moments(res: BatchResult, q: float, sums: np.ndarray, bad: np.ndarray) -> int:
-    """``_add_chunk`` over the chunks of ``res.states`` (all points); returns
-    the number of diverged paths."""
-    for lo, hi in _chunks(res.states.shape[1] - 1):
-        _add_chunk(q, sums, bad, lo, res.states[:, lo:hi])
-    return int(res.diverged.sum())
 
 
 def moment_probe(
@@ -402,12 +371,11 @@ def moment_probe(
     intensity = jump_model.intensity if jump_model else 0.0
     cfgs = {n: scheme_config(variant, n, model.zeta, taming_n_power, taming_x_power)
             for n in n_list}
-    levels = n_list if variant_is_randomized(variant) else []
 
     def run_block(paths: range) -> dict:
         # The block's draws die when this returns, before the next block's are
         # built; the kernel reduces each chunk of states as it is stepped.
-        draws = _draws(model, jump_model, base_seed, x0, paths, fine, levels)
+        draws = _draws(model, jump_model, base_seed, x0, paths, fine)
         out = {}
         for n in n_list:
             sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
@@ -462,8 +430,6 @@ def taming_gap_probe(
     base_seed: int = 0,
     taming_n_power: float = 0.5,
     taming_x_power: float | None = None,
-    mark_sample: int = 128,
-    max_pairs: int = 32768,
 ) -> GapTable:
     """Monte Carlo estimate of the taming perturbation E|f - f_tamed|^p0.
 
@@ -478,12 +444,12 @@ def taming_gap_probe(
     n_list = [int(n) for n in n_list]
     intensity = jump_model.intensity if jump_model else 0.0
     # all paths in one block, so each row's nanmean runs over every path at once
-    draws = _draws(model, jump_model, base_seed, x0, range(num_paths), max(n_list), n_list)
+    draws = _draws(model, jump_model, base_seed, x0, range(num_paths), max(n_list))
     tamed_variant = variant_is_tamed(variant)
     # one fixed mark sample shared by all rows keeps the probe deterministic
     if jump_model is not None and tamed_variant:
         mark_gen = np.random.default_rng(base_seed)
-        marks = np.asarray(jump_model.mark_sampler(mark_gen, mark_sample), dtype=float)
+        marks = np.asarray(jump_model.mark_sampler(mark_gen, GAP_MARK_SAMPLE), dtype=float)
     rows = []
     for n in n_list:
         dt = model.horizon / n
@@ -512,7 +478,7 @@ def taming_gap_probe(
             flat_x = x_left.reshape(-1, model.dim_state)
             flat_t = np.broadcast_to(t_left[None, :], ok.shape).reshape(-1)
             flat_shrink = shrink.reshape(-1)
-            stride = max(1, len(flat_x) // max_pairs)
+            stride = max(1, len(flat_x) // GAP_MAX_PAIRS)
             sx, st, ss = flat_x[::stride], flat_t[::stride], flat_shrink[::stride]
             gam = model.jump(
                 st[:, None, None], sx[:, None, :], marks[None, :, :], None

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
@@ -114,12 +113,11 @@ def brownian_increments(key: StreamKey, n_fine: int, m: int, horizon: float) -> 
     return _normal_increments(key.generator(), n_fine, m, horizon)
 
 
-def coarsen(fine: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
+def coarsen(fine: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive groups of ``factor`` increments.
 
     The output is exactly the fine path's increments over the coarse cells, so
     coarse and fine schemes can be driven by the same Brownian realization.
-    With ``out`` the sums are written into it (same bits) and it is returned.
     """
     fine = np.asarray(fine)
     if factor < 1:
@@ -128,7 +126,7 @@ def coarsen(fine: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.
     if n % factor != 0:
         raise ValueError(f"factor {factor} does not divide increment count {n}")
     shape = (n // factor, factor) + fine.shape[1:]
-    return np.sum(fine.reshape(shape), axis=1, out=out)
+    return np.sum(fine.reshape(shape), axis=1)
 
 
 def _jumps(gen: np.random.Generator, intensity: float, horizon: float, mark_sampler):
@@ -215,28 +213,24 @@ class PathDraw:
         return coarsen(self.fine_increments, self.fine_n // n)
 
 
-class _Randomizers(Mapping):
-    """A block's drift randomizers by level: ``[n]`` fills a new (B, n) array
-    from the level's (B, 2) stream keys through ``make_block_draw``'s
+class _Randomizers:
+    """A block's drift randomizers, for any level: ``[n]`` derives the level's
+    stream keys and fills a new (B, n) array through ``make_block_draw``'s
     ``stream``, so each level's array lives only as long as its reader keeps it."""
 
-    def __init__(self, keys: dict[int, np.ndarray], stream):
-        self._keys, self._stream = keys, stream
+    def __init__(self, base_seed: int, paths: range, stream):
+        self._seed, self._paths, self._stream = base_seed, paths, stream
 
     def __getitem__(self, n: int) -> np.ndarray:
-        out = np.empty((len(self._keys[n]), n))
-        for b, key in enumerate(self._keys[n]):
+        B = len(self._paths)
+        keys = _philox_keys(self._seed, (self._paths, [StreamTag.RANDOMIZER] * B, [n] * B))
+        out = np.empty((B, n))
+        for b, key in enumerate(keys):
             out[b] = uniform_open_closed(self._stream(key), n)
         return out
 
-    def __contains__(self, n) -> bool:  # Mapping's would fill the array
-        return n in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
+    def __contains__(self, n) -> bool:
+        return True
 
 
 @dataclass
@@ -248,7 +242,7 @@ class BlockDraw:
     jump_times: np.ndarray  # (J,), in row order, then time order
     jump_rows: np.ndarray  # (J,), the row of each jump
     jump_marks: np.ndarray  # (J, mark_dim)
-    phis: Mapping[int, np.ndarray]  # n -> (B, n); filled when read if built by make_block_draw
+    phis: dict[int, np.ndarray] | _Randomizers  # n -> (B, n); _Randomizers fill when read
     x0: np.ndarray  # (B, d)
 
     @classmethod
@@ -276,21 +270,19 @@ class BlockDraw:
 
 
 def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizon: float,
-                    levels, jump_model: JumpModel | None = None, x0=0.0) -> BlockDraw:
+                    jump_model: JumpModel | None = None, x0=0.0) -> BlockDraw:
     """The draws of the path indices ``paths`` as one block; row b is bit for
-    bit ``make_path_draw(base_seed, paths[b], ...)``.
+    bit ``make_path_draw(base_seed, paths[b], ...)``, at every level.
 
     The keys come from one ``_philox_keys`` call; one Philox generator is
     reset to each in turn, the state of a fresh ``StreamKey(...).generator()``.
     So the generator passed to ``jump_model.mark_sampler`` or to a callable
-    ``x0`` is valid only during that call. Randomizers are filled when read.
+    ``x0`` is valid only during that call. Randomizers are filled, at any level, when read.
     """
     if fine_n < 1:
         raise ValueError("fine_n must be >= 1")
     jumps = jump_model is not None and jump_model.intensity > 0.0
-    levels = list(dict.fromkeys(int(n) for n in levels))
     streams = ([(StreamTag.BROWNIAN, 0)] + [(StreamTag.JUMPS, 0)] * jumps
-               + [(StreamTag.RANDOMIZER, n) for n in levels]
                + [(StreamTag.INIT, 0)] * callable(x0))
     B, S = len(paths), len(streams)
     tags, stream_levels = np.array(streams, dtype=np.int64).T
@@ -311,12 +303,12 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
             path_jumps.append(_jumps(stream(keys[b, 1]), jump_model.intensity, horizon,
                                      jump_model.mark_sampler))
         x0s.append(x0(stream(keys[b, -1])) if callable(x0) else x0)
-    phis = _Randomizers({n: keys[:, 1 + jumps + j] for j, n in enumerate(levels)}, stream)
     times = [np.empty(0)] + [t for t, _ in path_jumps]
     marks = [np.empty((0, jump_model.mark_dim if jump_model else 1))] + [z for _, z in path_jumps]
     return BlockDraw(fine_increments=fine, jump_times=np.concatenate(times),
                      jump_rows=np.repeat(np.arange(len(path_jumps)), [len(t) for t in times[1:]]),
-                     jump_marks=np.concatenate(marks), phis=phis,
+                     jump_marks=np.concatenate(marks),
+                     phis=_Randomizers(base_seed, paths, stream),
                      x0=np.stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in x0s]))
 
 
@@ -330,6 +322,7 @@ def make_path_draw(base_seed: int, path_index: int, *, fine_n: int, m: int, hori
     the one-path ``make_block_draw``.
     """
     block = make_block_draw(base_seed, range(path_index, path_index + 1), fine_n=fine_n, m=m,
-                            horizon=horizon, levels=levels, jump_model=jump_model, x0=x0)
+                            horizon=horizon, jump_model=jump_model, x0=x0)
+    phis = {n: block.phis[n][0] for n in map(int, levels)}
     return PathDraw(fine_n, m, horizon, block.fine_increments[0], block.jump_times,
-                    block.jump_marks, {n: phi[0] for n, phi in block.phis.items()}, block.x0[0])
+                    block.jump_marks, phis, block.x0[0])

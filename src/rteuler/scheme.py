@@ -279,7 +279,6 @@ def simulate_paths(
     cfg: SchemeConfig,
     draws: BlockDraw | list[PathDraw],
     intensity: float = 0.0,
-    env: EnvState | None = None,
     *,
     keep: slice = slice(None),
     on_chunk: Callable[[int, np.ndarray], None] | None = None,
@@ -292,7 +291,7 @@ def simulate_paths(
     points ``keep`` selects (``slice(-1, None)``: the terminal one); see ``_run``.
     """
     block = draws if isinstance(draws, BlockDraw) else BlockDraw.stack(draws)
-    return _run({None: model}, cfg, block, intensity, lambda k, states: (None, env),
+    return _run({None: model}, cfg, block, intensity, lambda k, states: (None, None),
                 keep, on_chunk)
 
 
@@ -308,13 +307,12 @@ def simulate_path(
     cfg: SchemeConfig,
     draw: PathDraw,
     intensity: float = 0.0,
-    env: EnvState | None = None,
 ) -> Trajectory:
     """Run the scheme over the whole grid for a single path's draw.
 
     Raises ``DivergedPathError`` at the first non-finite step.
     """
-    res = simulate_paths(model, cfg, [draw], intensity, env)
+    res = simulate_paths(model, cfg, [draw], intensity)
     return _single(res, TimeGrid(cfg.n, model.horizon))
 
 

@@ -73,7 +73,7 @@ def test_block_rows_equal_per_key_functions(B, m, jumps, sampled_x0):
     jump_model = rt.normal_marks(3.0) if jumps else None
     x0 = (lambda gen: gen.normal(size=m)) if sampled_x0 else np.arange(1.0, m + 1.0)
     paths, levels = range(11, 11 + B), [32, 8, 4]
-    block = make_block_draw(2**70 + 3, paths, fine_n=32, m=m, horizon=2.0, levels=levels,
+    block = make_block_draw(2**70 + 3, paths, fine_n=32, m=m, horizon=2.0,
                             jump_model=jump_model, x0=x0)
     assert block.fine_increments.shape == (B, 32, m) and block.x0.shape == (B, m)
     for b, i in enumerate(paths):
@@ -92,9 +92,9 @@ def test_block_rows_equal_per_key_functions(B, m, jumps, sampled_x0):
 
 
 def test_make_path_draw_is_row_of_block(jumps_unit):
-    kw = dict(fine_n=64, m=1, horizon=1.0, levels=[64, 16], jump_model=jumps_unit, x0=2.0)
+    kw = dict(fine_n=64, m=1, horizon=1.0, jump_model=jumps_unit, x0=2.0)
     block = make_block_draw(5, range(3, 6), **kw)
-    draw = rt.make_path_draw(5, 4, **kw)
+    draw = rt.make_path_draw(5, 4, levels=[64, 16], **kw)
     assert np.array_equal(draw.fine_increments, block.fine_increments[1])
     assert np.array_equal(draw.phis[16], block.phis[16][1])
     assert np.array_equal(draw.jump_times, block.jump_times[block.jump_rows == 1])
@@ -102,7 +102,7 @@ def test_make_path_draw_is_row_of_block(jumps_unit):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_increments_for_equals_per_row_coarsen(m):
-    block = make_block_draw(9, range(37), fine_n=512, m=m, horizon=1.0, levels=[])
+    block = make_block_draw(9, range(37), fine_n=512, m=m, horizon=1.0)
     for n in (1, 4, 64, 256, 512):
         got = block.increments_for(n)
         assert got.shape == (37, n, m)
@@ -115,10 +115,10 @@ def test_increments_for_equals_per_row_coarsen(m):
 
 @pytest.mark.parametrize("variant", ["randomized_tamed", "classical"])
 def test_simulate_paths_on_block_equals_on_draw_list(dw_model, jumps_unit, variant):
-    kw = dict(fine_n=256, m=1, horizon=1.0, levels=[256, 64], jump_model=jumps_unit,
+    kw = dict(fine_n=256, m=1, horizon=1.0, jump_model=jumps_unit,
               x0=lambda gen: 2.0 + gen.normal(size=1))
     block = make_block_draw(3, range(20), **kw)
-    draws = [rt.make_path_draw(3, i, **kw) for i in range(20)]
+    draws = [rt.make_path_draw(3, i, levels=[256, 64], **kw) for i in range(20)]
     for n in (256, 64):
         tamed = variant == "randomized_tamed"
         cfg = SchemeConfig(variant, n, rt.TamingConfig(n=n, zeta=dw_model.zeta) if tamed else None)

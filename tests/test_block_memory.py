@@ -1,35 +1,26 @@
 """Bounded block memory: the same bits from fewer live copies.
 
-The kernel coarsens each draw's increments straight into its row of the batch
-buffer, and ``moment_probe`` frees each block before the next and reduces
-every level in column chunks. These tests pin both to the bits of the plain
-whole-array code and bound the probe's traced allocation peak.
+``moment_probe`` frees each block before the next and reduces every level in
+column chunks. These tests pin it to the bits of the plain whole-array code
+and bound the probe's traced allocation peak.
 """
 
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
 
 import rteuler as rt
-from rteuler import BatchResult, coarsen, make_path_draw, simulate_paths
-from rteuler.harness import MOMENT_CHUNK, _add_moments, moment_probe
+from rteuler import BatchResult, make_path_draw, simulate_paths
+from rteuler.harness import _add_chunk, moment_probe
+from rteuler.scheme import CHUNK as MOMENT_CHUNK, _chunks
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    m=st.integers(1, 4),
-    factor=st.integers(1, 256),
-    cells=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_coarsen_into_row_is_bit_equal(m, factor, cells, seed):
-    fine = np.random.default_rng(seed).normal(size=(cells * factor, m))
-    buf = np.full((3, cells, m), np.nan)
-    row = buf[1]
-    assert coarsen(fine, factor, out=row) is row
-    assert np.array_equal(buf[1], coarsen(fine, factor))
-    assert np.isnan(buf[0]).all() and np.isnan(buf[2]).all()
+def _add_moments(res: BatchResult, q: float, sums: np.ndarray, bad: np.ndarray) -> int:
+    """``_add_chunk`` over the chunks of ``res.states`` (all points); returns
+    the number of diverged paths."""
+    for lo, hi in _chunks(res.states.shape[1] - 1):
+        _add_chunk(q, sums, bad, lo, res.states[:, lo:hi])
+    return int(res.diverged.sum())
 
 
 def _whole_array_sums(states, q):

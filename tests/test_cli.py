@@ -64,6 +64,11 @@ def test_converge_json_format_and_plot(tmp_path):
                  "--format", "json", "--plot"]) == EXIT_OK
     doc = json.loads((out / "errors.json").read_text())
     assert len(doc["rows"]) == 6
+    for row in doc["rows"]:
+        assert set(row) == {"dt", "p", "error", "stderr", "diverged_frac", "usable"}
+    assert set(doc["slopes"]) == {"1", "2"}
+    for fit in doc["slopes"].values():
+        assert fit is None or set(fit) == {"slope", "intercept", "residual"}
     svg = (out / "errors.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
@@ -172,6 +177,15 @@ def test_verify_table(tmp_path, capsys):
     assert "coercivity[q=648]" in text and "log10" in text
     assert "monotonicity[p0=2]" in text
     assert "growth probe" in text
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--variant", "x")])
+def test_verify_rejects_flags_it_would_ignore(tmp_path, capsys, flag, value):
+    cfg = write_config(tmp_path, SMALL_STUDY)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_verify_large_gamma_violated(tmp_path, capsys):

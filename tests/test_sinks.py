@@ -59,7 +59,7 @@ def _case(name, n):
                                   "double_well_classical", "diverging"])
 def test_every_sink_equals_all_points_run(B, n, case):
     model, cfg, x0 = _case(case, n)
-    block = make_block_draw(17, range(B), fine_n=n, m=1, horizon=model.horizon, levels=[n],
+    block = make_block_draw(17, range(B), fine_n=n, m=1, horizon=model.horizon,
                             jump_model=rt.normal_marks(2.0), x0=x0)
     full = rt.simulate_paths(model, cfg, block, 2.0)
     assert full.states.shape == (B, n + 1, 1)
@@ -132,7 +132,7 @@ def test_study_block_equals_errors_of_all_points_runs(error_time):
     got = _study_block(cfg, range(5, 25))
     model = rt.double_well_model()
     draws = make_block_draw(cfg.base_seed, range(5, 25), fine_n=48, m=1, horizon=1.0,
-                            levels=[12, 16, 24, 48], jump_model=rt.normal_marks(3.0), x0=0.3)
+                            jump_model=rt.normal_marks(3.0), x0=0.3)
     ref = rt.simulate_paths(model, scheme_config(cfg.reference_variant, 48, model.zeta),
                             draws, 3.0)
     for variant in cfg.variants:
@@ -164,7 +164,8 @@ def test_study_block_peak_holds_fine_increments_and_one_level_of_randomizers():
     assert peak < fine_bytes + randomizer_bytes + fine_bytes // 4
 
 
-def test_workers_under_spawn_give_the_workers_1_bytes(tmp_path):
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_under_spawn_give_the_workers_1_bytes(tmp_path, method):
     doc = {"model": {"preset": "double-well", "x0": 2.0}, "jumps": {"intensity": 1.0},
            "study": {"levels": [8, 16, 32], "reference_n": 64, "num_paths": 520,
                      "p_list": [1, 2]},
@@ -175,7 +176,7 @@ def test_workers_under_spawn_give_the_workers_1_bytes(tmp_path):
     script = (
         "import multiprocessing, sys\n"
         "from rteuler.cli import main\n"
-        "multiprocessing.set_start_method('spawn')\n"
+        f"multiprocessing.set_start_method({method!r})\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
