@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent import futures
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -60,7 +60,7 @@ class StudyConfig:
     intensity: float = 1.0
     taming_n_power: float = 0.5
     taming_x_power: float | None = None
-    block_size: int = 500
+    block_size: int = 1000
 
     def __post_init__(self):
         if not self.levels:
@@ -169,11 +169,12 @@ class ErrorReport:
 
 
 def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, x0,
-           paths: range, fine_n: int) -> BlockDraw:
+           paths: range, fine_n: int, levels) -> BlockDraw:
     """The coupled draws of the path indices ``paths`` as one block: increments
-    and jumps at ``fine_n`` steps, drift randomizers at any level."""
+    and jumps at ``fine_n`` steps, drift randomizers at any level. The
+    increments of ``levels`` are summed while the ``fine_n`` level runs."""
     return make_block_draw(base_seed, paths, fine_n=fine_n, m=model.dim_noise,
-                           horizon=model.horizon, jump_model=jump_model, x0=x0)
+                           horizon=model.horizon, jump_model=jump_model, x0=x0, coarse=levels)
 
 
 def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None) -> list:
@@ -200,7 +201,7 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     """Per-path error values for ``paths``; pure in (cfg, paths)."""
     model = build_model(cfg.model, cfg.model_params)
     jump_model = normal_marks(cfg.intensity) if cfg.intensity > 0.0 else None
-    draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n)
+    draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n, cfg.levels)
     tame = dict(zeta=model.zeta, n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
     factors = [cfg.reference_n // n for n in cfg.levels]
     # the reference keeps only the points the errors read: the terminal one, or
@@ -249,10 +250,12 @@ def strong_error_study(
 ) -> list[ErrorReport]:
     """Run the coupled ladder study; one report per scheme variant.
 
-    ``workers`` only changes how blocks are scheduled, never the results.
+    Blocks hold ``cfg.block_size`` paths, fewer when that gives each worker
+    one; ``workers`` only changes how blocks are scheduled, never the results.
     ``progress`` is an optional callable(str) fed coarse status lines.
     """
-    results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, cfg.block_size,
+    block_size = min(cfg.block_size, -(-cfg.num_paths // workers))
+    results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, block_size,
                           workers, progress)
     ref_diverged = np.concatenate([r["ref_diverged"] for r in results])
     horizon = build_model(cfg.model, cfg.model_params).horizon
@@ -375,9 +378,9 @@ def moment_probe(
     def run_block(paths: range) -> dict:
         # The block's draws die when this returns, before the next block's are
         # built; the kernel reduces each chunk of states as it is stepped.
-        draws = _draws(model, jump_model, base_seed, x0, paths, fine)
+        draws = _draws(model, jump_model, base_seed, x0, paths, fine, n_list)
         out = {}
-        for n in n_list:
+        for n in sorted(n_list, key=lambda n: n != fine):  # the fine level sums the others
             sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
             res = simulate_paths(model, cfgs[n], draws, intensity, keep=slice(0),
                                  on_chunk=partial(_add_chunk, q, sums, bad))
@@ -444,25 +447,27 @@ def taming_gap_probe(
     n_list = [int(n) for n in n_list]
     intensity = jump_model.intensity if jump_model else 0.0
     # all paths in one block, so each row's nanmean runs over every path at once
-    draws = _draws(model, jump_model, base_seed, x0, range(num_paths), max(n_list))
+    fine = max(n_list)
+    draws = _draws(model, jump_model, base_seed, x0, range(num_paths), fine, n_list)
     tamed_variant = variant_is_tamed(variant)
     # one fixed mark sample shared by all rows keeps the probe deterministic
     if jump_model is not None and tamed_variant:
         mark_gen = np.random.default_rng(base_seed)
         marks = np.asarray(jump_model.mark_sampler(mark_gen, GAP_MARK_SAMPLE), dtype=float)
     rows = []
-    for n in n_list:
+    for n in sorted(n_list, key=lambda n: n != fine):  # the fine level sums the others
         dt = model.horizon / n
         if not tamed_variant:
             rows.append(GapRow(n=n, dt=dt, drift_gap=0.0, diffusion_gap=0.0, jump_gap=0.0))
             continue
         cfg = scheme_config(variant, n, model.zeta, taming_n_power, taming_x_power)
-        res = simulate_paths(model, cfg, draws, intensity)
+        phis = {n: draws.phis[n]} if variant_is_randomized(variant) else {}
+        res = simulate_paths(model, cfg, replace(draws, phis=phis), intensity)
         x_left = res.states[:, :-1, :]  # (B, n, d)
         ok = np.isfinite(x_left).all(axis=-1)
         t_left = np.arange(n) * dt  # (n,)
         if variant_is_randomized(variant):
-            t_drift = (t_left[None, :] + dt * draws.phis[n])[..., None]
+            t_drift = (t_left[None, :] + dt * phis[n])[..., None]
         else:
             t_drift = np.broadcast_to(t_left[None, :, None], x_left.shape[:2] + (1,))
         # gap factor: tamed f = f / D, so |f - tamed f| = |f| (D-1)/D
@@ -488,6 +493,7 @@ def taming_gap_probe(
             jump_gap = float(np.nanmean(intensity * ez * ss**p0))
         rows.append(GapRow(n=n, dt=dt, drift_gap=drift_gap,
                            diffusion_gap=diffusion_gap, jump_gap=jump_gap))
+    rows.sort(key=lambda r: n_list.index(r.n))
     exponents: dict[str, float | None] = {}
     for name in ("drift_gap", "diffusion_gap", "jump_gap"):
         pts = [(r.dt, getattr(r, name)) for r in rows if getattr(r, name) > 0.0]

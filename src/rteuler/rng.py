@@ -7,8 +7,9 @@ level)`` through numpy's SeedSequence into a counter-based Philox generator,
 so results are bit-identical across runs and across any worker layout, and
 distinct keys give statistically independent streams.
 
-``make_block_draw`` builds a block of paths' draws as arrays, deriving all
-their stream keys in one vectorized pass, with the same bits.
+``make_block_draw`` builds a block of paths' draws, deriving all their
+stream keys in one vectorized pass, and serves its Brownian increments and
+drift randomizers a window of cells at a time, with the same bits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from enum import IntEnum
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class StreamTag(IntEnum):
@@ -213,32 +215,143 @@ class PathDraw:
         return coarsen(self.fine_increments, self.fine_n // n)
 
 
+WINDOW = 1024  # most cells per window of a block's draws; a multiple of 4 and of scheme.CHUNK
+WINDOW_DRAWS = 1 << 20  # most draws (cells x rows) per window: 8 MB of float64
+ROWS = 64  # rows drawn path-major at a time, then copied into a time-major window
+
+
+def _window(rows: int) -> int:
+    """Cells per window for a block of ``rows`` paths: ``WINDOW``, halved
+    while the window would hold more than ``WINDOW_DRAWS`` draws, down to 128."""
+    w = WINDOW
+    while w > 128 and w * rows > WINDOW_DRAWS:
+        w //= 2
+    return w
+
+
 class _Randomizers:
-    """A block's drift randomizers, for any level: ``[n]`` derives the level's
-    stream keys and fills a new (B, n) array through ``make_block_draw``'s
-    ``stream``, so each level's array lives only as long as its reader keeps it."""
+    """A block's drift randomizers, for any level, filled from the level's
+    stream keys when read. ``random()`` takes one Philox word per double and
+    Philox makes four words per counter, so the columns from a multiple of 4
+    on start at counter ``lo // 4``: a window needs no state from the one
+    before it."""
 
     def __init__(self, base_seed: int, paths: range, stream):
         self._seed, self._paths, self._stream = base_seed, paths, stream
 
-    def __getitem__(self, n: int) -> np.ndarray:
-        B = len(self._paths)
-        keys = _philox_keys(self._seed, (self._paths, [StreamTag.RANDOMIZER] * B, [n] * B))
-        out = np.empty((B, n))
-        for b, key in enumerate(keys):
-            out[b] = uniform_open_closed(self._stream(key), n)
+    def window(self, n: int, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (w, B) with level n's randomizers of cells lo..lo+w-1
+        (lo a multiple of 4), time-major."""
+        (w, B), paths = out.shape, self._paths
+        keys = _philox_keys(self._seed, (paths, [StreamTag.RANDOMIZER] * B, [n] * B))
+        rows = np.empty((min(ROWS, B), w))
+        for r in range(0, B, ROWS):
+            part = rows[: min(ROWS, B - r)]
+            for i, key in enumerate(keys[r : r + ROWS]):
+                part[i] = uniform_open_closed(self._stream(key, lo // 4), w)
+            out[:, r : r + len(part)] = part.T
         return out
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        """Level n's randomizers, (B, n): a new array on every read."""
+        return self.window(n, 0, np.empty((n, len(self._paths)))).T
 
     def __contains__(self, n) -> bool:
         return True
 
 
+class _Key(ISeedSequence):
+    """A Philox key already derived, as a seed: ``Philox(_Key(key))`` is
+    ``Philox(key=key)`` without drawing fresh OS entropy, in half the time."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+class _Brownian:
+    """A block's Brownian increments, ``fine`` whole (B, fine_n, m) or drawn
+    window by window from the rows' Brownian stream ``keys``, each row's
+    generator carried from one window to the next.
+
+    A pass over the fine windows also sums each window, in path-major layout,
+    into the coarse levels not yet filled, so a coarse level is drawn once and
+    kept, time-major; one read before the fine level runs makes a pass of its
+    own. A fine window is served in one buffer, valid until the next."""
+
+    def __init__(self, fine_n: int, m: int, *, fine=None, keys=None, sd=0.0, coarse=()):
+        self.fine_n, self.m, self._fine, self._keys, self._sd = fine_n, m, fine, keys, sd
+        self.rows = len(keys if fine is None else fine)
+        self._coarse = dict.fromkeys(coarse)  # n -> (n, B, m), None until a pass fills it
+
+    def _fine_windows(self):
+        fine_n, m, fine, B = self.fine_n, self.m, self._fine, self.rows
+        todo = {n: fine_n // n for n, sums in self._coarse.items() if sums is None}
+        # a window holds whole coarse cells of every level it fills
+        w = min(math.lcm(_window(B), *todo.values()), fine_n)
+        R = ROWS if fine is None else B
+        if fine is None:
+            gens = [np.random.Generator(np.random.Philox(_Key(key))) for key in self._keys]
+            drawn = np.empty((min(R, B), w, m))
+        sums = {n: np.empty((n, B, m)) for n in todo}
+        buf = np.empty((w, B, m))
+        for lo in range(0, fine_n, w):
+            hi = min(lo + w, fine_n)
+            for r in range(0, B, R):
+                rows = slice(r, min(r + R, B))
+                if fine is None:
+                    part = drawn[: rows.stop - r, : hi - lo]
+                    for i, gen in enumerate(gens[rows]):
+                        part[i] = gen.normal(0.0, self._sd, size=(hi - lo, m))
+                else:
+                    part = fine[rows, lo:hi]
+                for n, f in todo.items():
+                    coarse = part.reshape(len(part), (hi - lo) // f, f, m).sum(axis=2)
+                    sums[n][lo // f : hi // f, rows] = coarse.transpose(1, 0, 2)
+                buf[: hi - lo, rows] = part.transpose(1, 0, 2)
+            if hi == fine_n:  # a reader may stop at the last window
+                self._coarse.update(sums)
+            yield lo, buf[: hi - lo]
+
+    @property
+    def fine(self) -> np.ndarray:
+        """The whole fine array; drawn once on the first read and kept."""
+        if self._fine is None:
+            whole = np.concatenate([w.copy() for _, w in self._fine_windows()])
+            self._fine = np.ascontiguousarray(whole.transpose(1, 0, 2))
+        return self._fine
+
+    def level(self, n: int) -> np.ndarray:
+        """Level n's increments, (B, n, m): bit for bit each row's ``coarsen``."""
+        if self.fine_n % n != 0:
+            raise ValueError(f"level {n} does not divide fine resolution {self.fine_n}")
+        if n == self.fine_n:
+            return self.fine
+        if self._coarse.get(n) is None:
+            self._coarse[n] = None
+            for _ in self._fine_windows():
+                pass
+        return self._coarse[n].transpose(1, 0, 2)
+
+    def windows(self, n: int):
+        """(lo, increments) of level n's cells lo.., time-major (w, B, m)."""
+        if n == self.fine_n:
+            yield from self._fine_windows()
+            return
+        inc, w = np.ascontiguousarray(self.level(n).transpose(1, 0, 2)), _window(self.rows)
+        for lo in range(0, n, w):
+            yield lo, inc[lo : lo + w]
+
+
 @dataclass
 class BlockDraw:
-    """The randomness of a block of paths as block-major arrays: row b is the
-    block's b-th path, holding what that path's ``PathDraw`` holds."""
+    """The randomness of a block of paths: row b is the block's b-th path,
+    holding what that path's ``PathDraw`` holds. The kernel reads the
+    increments and randomizers a window at a time (``windows``)."""
 
-    fine_increments: np.ndarray  # (B, fine_n, m)
+    brownian: _Brownian
     jump_times: np.ndarray  # (J,), in row order, then time order
     jump_rows: np.ndarray  # (J,), the row of each jump
     jump_marks: np.ndarray  # (J, mark_dim)
@@ -248,36 +361,55 @@ class BlockDraw:
     @classmethod
     def stack(cls, draws: list[PathDraw]) -> BlockDraw:
         """The block of ``draws``, with the randomizer levels they all have."""
+        d0 = draws[0]
         return cls(
-            fine_increments=np.stack([d.fine_increments for d in draws]),
+            brownian=_Brownian(d0.fine_n, d0.m, fine=np.stack([d.fine_increments for d in draws])),
             jump_times=np.concatenate([d.jump_times for d in draws]),
             jump_rows=np.repeat(np.arange(len(draws)), [len(d.jump_times) for d in draws]),
             jump_marks=np.concatenate([d.jump_marks for d in draws]),
             phis={n: np.stack([d.phis[n] for d in draws])
-                  for n in draws[0].phis if all(n in d.phis for d in draws)},
+                  for n in d0.phis if all(n in d.phis for d in draws)},
             x0=np.stack([d.x0 for d in draws]),
         )
+
+    @property
+    def fine_increments(self) -> np.ndarray:
+        """(B, fine_n, m); a block that draws by windows draws them all, and keeps them."""
+        return self.brownian.fine
 
     def increments_for(self, n: int) -> np.ndarray:
         """Brownian increments on the n-cell grid, (B, n, m): bit for bit each
         row's ``coarsen``. At the fine resolution this is the fine array itself."""
-        B, fine_n, m = self.fine_increments.shape
-        if fine_n % n != 0:
-            raise ValueError(f"level {n} does not divide fine resolution {fine_n}")
-        if n == fine_n:
-            return self.fine_increments
-        return self.fine_increments.reshape(B, n, fine_n // n, m).sum(axis=2)
+        return self.brownian.level(n)
+
+    def windows(self, n: int, randomized: bool):
+        """Level n's draws a window at a time: (lo, dW, phi), the increments
+        (w, B, m) and, when ``randomized``, the drift randomizers (w, B) of
+        cells lo..lo+w-1, both C-contiguous (time-major) and each in a buffer
+        that the next window refills."""
+        buf = phi = None
+        for lo, dW in self.brownian.windows(n):
+            if randomized:
+                buf = np.empty(dW.shape[:2]) if buf is None else buf
+                phi = buf[: len(dW)]
+                if isinstance(self.phis, _Randomizers):
+                    self.phis.window(n, lo, phi)
+                else:
+                    phi[...] = self.phis[n][:, lo : lo + len(dW)].T
+            yield lo, dW, phi
 
 
 def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizon: float,
-                    jump_model: JumpModel | None = None, x0=0.0) -> BlockDraw:
+                    jump_model: JumpModel | None = None, x0=0.0, coarse=()) -> BlockDraw:
     """The draws of the path indices ``paths`` as one block; row b is bit for
     bit ``make_path_draw(base_seed, paths[b], ...)``, at every level.
 
     The keys come from one ``_philox_keys`` call; one Philox generator is
     reset to each in turn, the state of a fresh ``StreamKey(...).generator()``.
     So the generator passed to ``jump_model.mark_sampler`` or to a callable
-    ``x0`` is valid only during that call. Randomizers are filled, at any level, when read.
+    ``x0`` is valid only during that call. Brownian increments are drawn a
+    window at a time and randomizers filled, at any level, when read; the
+    levels ``coarse`` are summed from the fine windows as they are drawn.
     """
     if fine_n < 1:
         raise ValueError("fine_n must be >= 1")
@@ -291,21 +423,23 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     gen = np.random.Generator(np.random.Philox(0))
     fresh = gen.bit_generator.state  # counter 0, buffer_pos 4 (empty), has_uint32 0, uinteger 0
 
-    def stream(key):  # the generator, in a fresh one's state under ``key``
+    def stream(key, counter=0):  # the generator, in a fresh one's state under ``key``
         fresh["state"]["key"] = key
+        fresh["state"]["counter"][0] = counter
         gen.bit_generator.state = fresh
         return gen
 
-    fine, path_jumps, x0s = np.empty((B, fine_n, m)), [], []
+    path_jumps, x0s = [], []
     for b in range(B):
-        fine[b] = _normal_increments(stream(keys[b, 0]), fine_n, m, horizon)
         if jumps:
             path_jumps.append(_jumps(stream(keys[b, 1]), jump_model.intensity, horizon,
                                      jump_model.mark_sampler))
         x0s.append(x0(stream(keys[b, -1])) if callable(x0) else x0)
     times = [np.empty(0)] + [t for t, _ in path_jumps]
     marks = [np.empty((0, jump_model.mark_dim if jump_model else 1))] + [z for _, z in path_jumps]
-    return BlockDraw(fine_increments=fine, jump_times=np.concatenate(times),
+    brownian = _Brownian(fine_n, m, keys=keys[:, 0], sd=math.sqrt(horizon / fine_n),
+                         coarse=[n for n in coarse if n != fine_n])
+    return BlockDraw(brownian=brownian, jump_times=np.concatenate(times),
                      jump_rows=np.repeat(np.arange(len(path_jumps)), [len(t) for t in times[1:]]),
                      jump_marks=np.concatenate(marks),
                      phis=_Randomizers(base_seed, paths, stream),

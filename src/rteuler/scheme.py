@@ -218,9 +218,10 @@ def _run(
     ``step_env(k, states)`` names the model (a key of ``models``) and the
     environment for cell k; ``states`` is the (B, n+1, d) buffer, filled up
     to index k-1, when ``keep`` is all points. Every model shares the first
-    one's dimensions and horizon. The states are stepped into ``_chunks``; of
-    each, the points ``keep`` selects go to the result and ``on_chunk(lo,
-    chunk)`` gets all its (B, hi-lo, d) states.
+    one's dimensions and horizon. The draws come in the block's time-major
+    windows, so each step reads one contiguous row of them. The states are
+    stepped into ``_chunks``; of each, the points ``keep`` selects go to the
+    result and ``on_chunk(lo, chunk)`` gets all its (B, hi-lo, d) states.
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
@@ -228,16 +229,10 @@ def _run(
     randomized = variant_is_randomized(cfg.variant)
     if block.x0.shape != (B, d):
         raise ValueError(f"x0 has shape {block.x0.shape}, model needs ({B}, {d})")
-    if block.fine_increments.shape[2] != m:
-        raise ValueError(f"increments have width {block.fine_increments.shape[2]}, "
-                         f"dim_noise is {m}")
-    if randomized:
-        if n not in block.phis:
-            raise ValueError(f"draws lack randomizers (phis) for level n={n}")
-        phis = block.phis[n]  # (B, n)
-        if not (phis.min() > 0.0 and phis.max() <= 1.0):  # NaN fails both
-            raise ValueError(f"randomizers (phis) for level n={n} must lie in (0, 1]")
-    dW = block.increments_for(n)  # (B, n, m); the fine array itself at the fine level
+    if block.brownian.m != m:
+        raise ValueError(f"increments have width {block.brownian.m}, dim_noise is {m}")
+    if randomized and n not in block.phis:
+        raise ValueError(f"draws lack randomizers (phis) for level n={n}")
     cell_jumps = _jump_events(grid, block)
     tamed = variant_is_tamed(cfg.variant)
     arms = {
@@ -252,15 +247,28 @@ def _run(
     buf = states if whole else np.empty((B, min(n, CHUNK) + 1, d))
     buf[:, 0] = x = block.x0  # the first chunk's point 0
     diverged_at, dt = np.full(B, -1), grid.dt
+    windows = block.windows(n, randomized)
+    w_lo = w_hi = 0  # the cells lo..hi-1 of the window in hand
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in _chunks(n):
             chunk = buf[:, lo:hi] if whole else buf[:, : hi - lo]
             for k in range(max(lo, 1), hi):
+                if k > w_hi:
+                    w_lo, dW, phi = next(windows)
+                    w_hi = w_lo + len(dW)
+                    if randomized:
+                        if not (phi.min() > 0.0 and phi.max() <= 1.0):  # NaN fails both
+                            raise ValueError(f"randomizers (phis) for level n={n} must lie "
+                                             "in (0, 1]")
+                        # each cell's drift time t_{k-1} + dt * phi in phi's buffer,
+                        # with t_{k-1} = (k-1) * T / n as grid.point computes it
+                        t_drift = phi[..., None]
+                        t_drift *= dt
+                        t_drift += (np.arange(w_lo, w_hi) * grid.horizon / n)[:, None, None]
                 t_left = grid.point(k - 1)
-                t_drift = t_left + dt * phis[:, k - 1 : k] if randomized else t_left
                 key, env = step_env(k, states)
-                jumps = cell_jumps.get(k)
-                x = _cell(x, t_left, t_drift, dt, dW[:, k - 1], arms[key], env, intensity, jumps)
+                x = _cell(x, t_left, t_drift[k - 1 - w_lo] if randomized else t_left, dt,
+                          dW[k - 1 - w_lo], arms[key], env, intensity, cell_jumps.get(k))
                 chunk[:, k - lo] = x
             bad = ~np.isfinite(chunk).all(axis=2)  # (B, hi-lo)
             first = (diverged_at < 0) & bad.any(axis=1)

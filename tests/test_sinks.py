@@ -116,11 +116,11 @@ def test_study_bytes_hold_across_block_sizes_and_workers(error_time):
     def csvs(cfg, workers=1):
         return [r.to_csv() for r in strong_error_study(cfg, workers=workers)]
 
-    want = csvs(_small_study(error_time))  # one block of the default 500
-    assert StudyConfig.block_size == 500
-    for block_size in (1, 7, 250, 500):
+    want = csvs(_small_study(error_time))  # one block of the default 1000
+    assert StudyConfig.block_size == 1000
+    for block_size in (1, 7, 250, 333, 500, 1000):
         assert csvs(_small_study(error_time, block_size=block_size)) == want
-    # two blocks of 250 and 10, so workers=2 starts a pool of two
+    # two blocks of 130, one per worker, so workers=2 starts a pool of two
     assert csvs(_small_study(error_time, block_size=250), workers=2) == want
 
 
@@ -181,7 +181,7 @@ def test_workers_under_spawn_give_the_workers_1_bytes(tmp_path, method):
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    # 520 paths are two blocks of 500 and 20, so workers=2 starts a pool of two
+    # 520 paths are two blocks of 260, one per worker, so workers=2 starts a pool of two
     subprocess.run([sys.executable, "-c", script, "converge", "--config", str(cfg),
                     "--workers", "2", "--out", str(tmp_path / "w2")],
                    env=env, check=True, capture_output=True, timeout=300)
