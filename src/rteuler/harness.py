@@ -81,6 +81,8 @@ class StudyConfig:
             raise ValueError(f"error_time must be one of {ERROR_TIMES}")
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
+        if self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if not self.p_list or any(p < 1 for p in self.p_list):
             raise ValueError("p_list entries must be >= 1")
         if self.intensity < 0.0:
@@ -254,6 +256,8 @@ def strong_error_study(
     one; ``workers`` only changes how blocks are scheduled, never the results.
     ``progress`` is an optional callable(str) fed coarse status lines.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     block_size = min(cfg.block_size, -(-cfg.num_paths // workers))
     results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, block_size,
                           workers, progress)
@@ -340,6 +344,34 @@ def _add_chunk(q: float, sums: np.ndarray, bad: np.ndarray, lo: int, chunk: np.n
     bad[lo:hi] |= ~finite.all(axis=0)
 
 
+def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, block_size: int,
+           x0, jump_model: JumpModel | None, base_seed: int, n_power: float,
+           x_power: float | None) -> tuple[list[int], list[dict]]:
+    """Both probes' front end: checks their arguments and returns ``n_list`` as
+    ints and, per block of paths, n -> ``level(draws, cfg, intensity)``, run on
+    the block's draws finest level first (its pass sums the coarser levels)."""
+    n_list = [int(n) for n in n_list]
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
+    if num_paths < 1:
+        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    fine = max(n_list)
+    if any(fine % n for n in n_list):
+        raise ValueError("n_list entries must divide max(n_list) for coupled draws")
+    cfgs = {n: scheme_config(variant, n, model.zeta, n_power, x_power) for n in n_list}
+    intensity = jump_model.intensity if jump_model else 0.0
+
+    def run_block(paths: range) -> dict:
+        # the block's draws die when this returns, before the next block's are built
+        draws = _draws(model, jump_model, base_seed, x0, paths, fine, n_list)
+        return {n: level(draws, cfgs[n], intensity)
+                for n in sorted(n_list, key=lambda n: n != fine)}
+
+    return n_list, _map_blocks(run_block, num_paths, block_size)
+
+
 def moment_probe(
     model: CoefficientSet,
     variant: str,
@@ -362,32 +394,16 @@ def moment_probe(
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    n_list = [int(n) for n in n_list]
-    if not n_list or min(n_list) < 1:
-        raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
-    if num_paths < 1:
-        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
-    fine = max(n_list)
-    for n in n_list:
-        if fine % n != 0:
-            raise ValueError("n_list entries must divide max(n_list) for coupled draws")
-    intensity = jump_model.intensity if jump_model else 0.0
-    cfgs = {n: scheme_config(variant, n, model.zeta, taming_n_power, taming_x_power)
-            for n in n_list}
 
-    def run_block(paths: range) -> dict:
-        # The block's draws die when this returns, before the next block's are
-        # built; the kernel reduces each chunk of states as it is stepped.
-        draws = _draws(model, jump_model, base_seed, x0, paths, fine, n_list)
-        out = {}
-        for n in sorted(n_list, key=lambda n: n != fine):  # the fine level sums the others
-            sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
-            res = simulate_paths(model, cfgs[n], draws, intensity, keep=slice(0),
-                                 on_chunk=partial(_add_chunk, q, sums, bad))
-            out[n] = sums, bad, int(res.diverged.sum())
-        return out
+    def level(draws: BlockDraw, cfg, intensity: float) -> tuple:
+        # the kernel reduces each chunk of states as it is stepped
+        sums, bad = np.zeros(cfg.n + 1), np.zeros(cfg.n + 1, dtype=bool)
+        res = simulate_paths(model, cfg, draws, intensity, keep=slice(0),
+                             on_chunk=partial(_add_chunk, q, sums, bad))
+        return sums, bad, int(res.diverged.sum())
 
-    blocks = _map_blocks(run_block, num_paths, block_size)
+    n_list, blocks = _probe(level, model, variant, n_list, num_paths, block_size, x0,
+                            jump_model, base_seed, taming_n_power, taming_x_power)
     rows = []
     for n in n_list:
         # each block's sums start from zeros, so adding them in block order
@@ -444,29 +460,22 @@ def taming_gap_probe(
     """
     if p0 < 2:
         raise ValueError("p0 must be >= 2")
-    n_list = [int(n) for n in n_list]
-    intensity = jump_model.intensity if jump_model else 0.0
-    # all paths in one block, so each row's nanmean runs over every path at once
-    fine = max(n_list)
-    draws = _draws(model, jump_model, base_seed, x0, range(num_paths), fine, n_list)
-    tamed_variant = variant_is_tamed(variant)
+    tamed, randomized = variant_is_tamed(variant), variant_is_randomized(variant)
     # one fixed mark sample shared by all rows keeps the probe deterministic
-    if jump_model is not None and tamed_variant:
+    if jump_model is not None and tamed:
         mark_gen = np.random.default_rng(base_seed)
         marks = np.asarray(jump_model.mark_sampler(mark_gen, GAP_MARK_SAMPLE), dtype=float)
-    rows = []
-    for n in sorted(n_list, key=lambda n: n != fine):  # the fine level sums the others
-        dt = model.horizon / n
-        if not tamed_variant:
-            rows.append(GapRow(n=n, dt=dt, drift_gap=0.0, diffusion_gap=0.0, jump_gap=0.0))
-            continue
-        cfg = scheme_config(variant, n, model.zeta, taming_n_power, taming_x_power)
-        phis = {n: draws.phis[n]} if variant_is_randomized(variant) else {}
+
+    def level(draws: BlockDraw, cfg, intensity: float) -> GapRow:
+        n, dt = cfg.n, model.horizon / cfg.n
+        if not tamed:
+            return GapRow(n=n, dt=dt, drift_gap=0.0, diffusion_gap=0.0, jump_gap=0.0)
+        phis = {n: draws.phis[n]} if randomized else {}
         res = simulate_paths(model, cfg, replace(draws, phis=phis), intensity)
         x_left = res.states[:, :-1, :]  # (B, n, d)
         ok = np.isfinite(x_left).all(axis=-1)
         t_left = np.arange(n) * dt  # (n,)
-        if variant_is_randomized(variant):
+        if randomized:
             t_drift = (t_left[None, :] + dt * phis[n])[..., None]
         else:
             t_drift = np.broadcast_to(t_left[None, :, None], x_left.shape[:2] + (1,))
@@ -485,15 +494,18 @@ def taming_gap_probe(
             flat_shrink = shrink.reshape(-1)
             stride = max(1, len(flat_x) // GAP_MAX_PAIRS)
             sx, st, ss = flat_x[::stride], flat_t[::stride], flat_shrink[::stride]
-            gam = model.jump(
-                st[:, None, None], sx[:, None, :], marks[None, :, :], None
-            )  # (pairs, marks, d)
+            # (pairs, marks, d)
+            gam = model.jump(st[:, None, None], sx[:, None, :], marks[None, :, :], None)
             gnorm = np.linalg.norm(gam, axis=-1)
             ez = np.mean(gnorm**p0, axis=1)  # per-pair mark expectation
             jump_gap = float(np.nanmean(intensity * ez * ss**p0))
-        rows.append(GapRow(n=n, dt=dt, drift_gap=drift_gap,
-                           diffusion_gap=diffusion_gap, jump_gap=jump_gap))
-    rows.sort(key=lambda r: n_list.index(r.n))
+        return GapRow(n=n, dt=dt, drift_gap=drift_gap, diffusion_gap=diffusion_gap,
+                      jump_gap=jump_gap)
+
+    # all paths in one block, so each row's nanmean runs over every path at once
+    n_list, (block,) = _probe(level, model, variant, n_list, num_paths, num_paths, x0,
+                              jump_model, base_seed, taming_n_power, taming_x_power)
+    rows = [block[n] for n in n_list]
     exponents: dict[str, float | None] = {}
     for name in ("drift_gap", "diffusion_gap", "jump_gap"):
         pts = [(r.dt, getattr(r, name)) for r in rows if getattr(r, name) > 0.0]

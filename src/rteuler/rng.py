@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -104,15 +105,11 @@ def uniform_open_closed(gen: np.random.Generator, size=None) -> np.ndarray:
     return 1.0 - gen.random(size)
 
 
-def _normal_increments(gen: np.random.Generator, n_fine: int, m: int, horizon: float):
-    return gen.normal(0.0, math.sqrt(horizon / n_fine), size=(n_fine, m))
-
-
 def brownian_increments(key: StreamKey, n_fine: int, m: int, horizon: float) -> np.ndarray:
     """n_fine iid Normal(0, (T/n_fine) I_m) increment vectors, shape (n_fine, m)."""
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
-    return _normal_increments(key.generator(), n_fine, m, horizon)
+    return key.generator().normal(0.0, math.sqrt(horizon / n_fine), size=(n_fine, m))
 
 
 def coarsen(fine: np.ndarray, factor: int) -> np.ndarray:
@@ -208,12 +205,6 @@ class PathDraw:
             if len(phi) != n:
                 raise ValueError(f"phi array for level {n} has length {len(phi)}")
 
-    def increments_for(self, n: int) -> np.ndarray:
-        """Brownian increments on the n-cell grid (fine_n must be divisible)."""
-        if self.fine_n % n != 0:
-            raise ValueError(f"level {n} does not divide fine resolution {self.fine_n}")
-        return coarsen(self.fine_increments, self.fine_n // n)
-
 
 WINDOW = 1024  # most cells per window of a block's draws; a multiple of 4 and of scheme.CHUNK
 WINDOW_DRAWS = 1 << 20  # most draws (cells x rows) per window: 8 MB of float64
@@ -271,6 +262,11 @@ class _Key(ISeedSequence):
         return self.key
 
 
+def _check_level(n: int, fine_n: int):
+    if n < 1 or fine_n % n:
+        raise ValueError(f"level {n} is below 1 or does not divide fine resolution {fine_n}")
+
+
 class _Brownian:
     """A block's Brownian increments, ``fine`` whole (B, fine_n, m) or drawn
     window by window from the rows' Brownian stream ``keys``, each row's
@@ -315,32 +311,18 @@ class _Brownian:
                 self._coarse.update(sums)
             yield lo, buf[: hi - lo]
 
-    @property
-    def fine(self) -> np.ndarray:
-        """The whole fine array; drawn once on the first read and kept."""
-        if self._fine is None:
-            whole = np.concatenate([w.copy() for _, w in self._fine_windows()])
-            self._fine = np.ascontiguousarray(whole.transpose(1, 0, 2))
-        return self._fine
-
-    def level(self, n: int) -> np.ndarray:
-        """Level n's increments, (B, n, m): bit for bit each row's ``coarsen``."""
-        if self.fine_n % n != 0:
-            raise ValueError(f"level {n} does not divide fine resolution {self.fine_n}")
+    def windows(self, n: int):
+        """(lo, increments) of level n's cells lo.., time-major (w, B, m):
+        bit for bit each row's ``coarsen``."""
+        _check_level(n, self.fine_n)
         if n == self.fine_n:
-            return self.fine
+            yield from self._fine_windows()
+            return
         if self._coarse.get(n) is None:
             self._coarse[n] = None
             for _ in self._fine_windows():
                 pass
-        return self._coarse[n].transpose(1, 0, 2)
-
-    def windows(self, n: int):
-        """(lo, increments) of level n's cells lo.., time-major (w, B, m)."""
-        if n == self.fine_n:
-            yield from self._fine_windows()
-            return
-        inc, w = np.ascontiguousarray(self.level(n).transpose(1, 0, 2)), _window(self.rows)
+        inc, w = self._coarse[n], _window(self.rows)
         for lo in range(0, n, w):
             yield lo, inc[lo : lo + w]
 
@@ -371,16 +353,6 @@ class BlockDraw:
                   for n in d0.phis if all(n in d.phis for d in draws)},
             x0=np.stack([d.x0 for d in draws]),
         )
-
-    @property
-    def fine_increments(self) -> np.ndarray:
-        """(B, fine_n, m); a block that draws by windows draws them all, and keeps them."""
-        return self.brownian.fine
-
-    def increments_for(self, n: int) -> np.ndarray:
-        """Brownian increments on the n-cell grid, (B, n, m): bit for bit each
-        row's ``coarsen``. At the fine resolution this is the fine array itself."""
-        return self.brownian.level(n)
 
     def windows(self, n: int, randomized: bool):
         """Level n's draws a window at a time: (lo, dW, phi), the increments
@@ -413,6 +385,8 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     """
     if fine_n < 1:
         raise ValueError("fine_n must be >= 1")
+    for n in coarse:
+        _check_level(n, fine_n)
     jumps = jump_model is not None and jump_model.intensity > 0.0
     streams = ([(StreamTag.BROWNIAN, 0)] + [(StreamTag.JUMPS, 0)] * jumps
                + [(StreamTag.INIT, 0)] * callable(x0))
@@ -452,11 +426,17 @@ def make_path_draw(base_seed: int, path_index: int, *, fine_n: int, m: int, hori
 
     ``levels`` lists every step count the draw will be simulated at (each gets
     its own randomizer stream). ``x0`` may be a fixed vector or a callable
-    ``gen -> vector`` sampled from the path's init stream. This is row 0 of
-    the one-path ``make_block_draw``.
+    ``gen -> vector`` sampled from the path's init stream. Each array comes
+    from its own ``StreamKey``, bit for bit row ``path_index`` of a
+    ``make_block_draw`` block.
     """
-    block = make_block_draw(base_seed, range(path_index, path_index + 1), fine_n=fine_n, m=m,
-                            horizon=horizon, jump_model=jump_model, x0=x0)
-    phis = {n: block.phis[n][0] for n in map(int, levels)}
-    return PathDraw(fine_n, m, horizon, block.fine_increments[0], block.jump_times,
-                    block.jump_marks, phis, block.x0[0])
+    key = partial(StreamKey, base_seed, path_index)
+    dW = brownian_increments(key(StreamTag.BROWNIAN), fine_n, m, horizon)
+    times, marks = np.empty(0), np.empty((0, jump_model.mark_dim if jump_model else 1))
+    if jump_model is not None and jump_model.intensity > 0.0:
+        times, marks = jump_path(key(StreamTag.JUMPS), jump_model.intensity, horizon,
+                                 jump_model.mark_sampler)
+    phis = {n: uniform_open_closed(key(StreamTag.RANDOMIZER, n).generator(), n)
+            for n in map(int, levels)}
+    x0 = x0(key(StreamTag.INIT).generator()) if callable(x0) else x0
+    return PathDraw(fine_n, m, horizon, dW, times, marks, phis, x0)

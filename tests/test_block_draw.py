@@ -65,6 +65,11 @@ def _per_key_draw(seed, i, fine_n, m, horizon, levels, jump_model, x0):
                     jump_marks=marks, phis=phis, x0=x0)
 
 
+def _increments(block, n):
+    """Level n's increments of ``block`` as (B, n, m), from its windows."""
+    return np.concatenate([dW.copy() for _, dW, _ in block.windows(n, False)]).transpose(1, 0, 2)
+
+
 @pytest.mark.parametrize("B", [1, 5, 37])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("jumps", [False, True])
@@ -75,10 +80,11 @@ def test_block_rows_equal_per_key_functions(B, m, jumps, sampled_x0):
     paths, levels = range(11, 11 + B), [32, 8, 4]
     block = make_block_draw(2**70 + 3, paths, fine_n=32, m=m, horizon=2.0,
                             jump_model=jump_model, x0=x0)
-    assert block.fine_increments.shape == (B, 32, m) and block.x0.shape == (B, m)
+    fine = _increments(block, 32)
+    assert fine.shape == (B, 32, m) and block.x0.shape == (B, m)
     for b, i in enumerate(paths):
         want = _per_key_draw(2**70 + 3, i, 32, m, 2.0, levels, jump_model, x0)
-        assert np.array_equal(block.fine_increments[b], want.fine_increments)
+        assert np.array_equal(fine[b], want.fine_increments)
         assert np.array_equal(block.x0[b], want.x0)
         for n in levels:
             assert np.array_equal(block.phis[n][b], want.phis[n])
@@ -91,26 +97,42 @@ def test_block_rows_equal_per_key_functions(B, m, jumps, sampled_x0):
         assert len(block.jump_times) > 0
 
 
-def test_make_path_draw_is_row_of_block(jumps_unit):
-    kw = dict(fine_n=64, m=1, horizon=1.0, jump_model=jumps_unit, x0=2.0)
-    block = make_block_draw(5, range(3, 6), **kw)
-    draw = rt.make_path_draw(5, 4, levels=[64, 16], **kw)
-    assert np.array_equal(draw.fine_increments, block.fine_increments[1])
-    assert np.array_equal(draw.phis[16], block.phis[16][1])
-    assert np.array_equal(draw.jump_times, block.jump_times[block.jump_rows == 1])
+def test_make_path_draw_is_row_of_block():
+    for m, intensity, x0 in [(1, 1.0, 2.0), (2, 1.0, lambda gen: gen.normal(size=2)),
+                             (1, 0.0, lambda gen: 2.0 + gen.normal(size=1)), (2, 0.0, [1.0, 2.0])]:
+        kw = dict(fine_n=64, m=m, horizon=1.0, jump_model=rt.normal_marks(intensity), x0=x0)
+        block = make_block_draw(5, range(3, 6), **kw)
+        draw = rt.make_path_draw(5, 4, levels=[64, 16], **kw)
+        assert np.array_equal(draw.fine_increments, _increments(block, 64)[1])
+        assert np.array_equal(draw.x0, block.x0[1])
+        for n in (64, 16):
+            assert np.array_equal(draw.phis[n], block.phis[n][1])
+        on_row = block.jump_rows == 1
+        assert np.array_equal(draw.jump_times, block.jump_times[on_row])
+        assert np.array_equal(draw.jump_marks, block.jump_marks[on_row])
+        assert draw.jump_marks.shape[1] == 1 and (len(draw.jump_times) > 0) == (intensity > 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_increments_for_equals_per_row_coarsen(m):
     block = make_block_draw(9, range(37), fine_n=512, m=m, horizon=1.0)
+    fine = _increments(block, 512)
     for n in (1, 4, 64, 256, 512):
-        got = block.increments_for(n)
+        got = _increments(block, n)
         assert got.shape == (37, n, m)
         for b in range(37):
-            assert np.array_equal(got[b], coarsen(block.fine_increments[b], 512 // n))
-    assert np.shares_memory(block.increments_for(512), block.fine_increments)
+            assert np.array_equal(got[b], coarsen(fine[b], 512 // n))
     with pytest.raises(ValueError, match="does not divide"):
-        block.increments_for(48)
+        next(block.windows(48, False))
+
+
+@pytest.mark.parametrize("coarse, message", [
+    ([16], "level 16 is below 1 or does not divide fine resolution 24"),
+    ([8, 0], "level 0 is below 1"),
+])
+def test_make_block_draw_rejects_bad_coarse_levels(coarse, message):
+    with pytest.raises(ValueError, match=message):
+        make_block_draw(1, range(3), fine_n=24, m=1, horizon=1.0, coarse=coarse)
 
 
 @pytest.mark.parametrize("variant", ["randomized_tamed", "classical"])

@@ -187,6 +187,27 @@ def test_moment_probe_validation(dw_model):
         moment_probe(dw_model, "classical", [8, 12], 2.0, 4)
 
 
+def test_block_and_worker_counts_rejected_at_the_argument(dw_model):
+    with pytest.raises(ValueError, match="^block_size must be >= 1"):
+        StudyConfig(block_size=0)
+    with pytest.raises(ValueError, match="^workers must be >= 1"):
+        strong_error_study(StudyConfig(num_paths=4, levels=(4, 8, 16), reference_n=32), workers=0)
+    with pytest.raises(ValueError, match="^block_size must be >= 1"):
+        moment_probe(dw_model, "classical", [8], 4.0, 4, block_size=0)
+
+
+@pytest.mark.parametrize("n_list, num_paths, message", [
+    ([], 4, "^n_list must be nonempty"),
+    ([0, 16], 4, "^n_list must be nonempty"),
+    ([16, 24], 4, "^n_list entries must divide"),
+    ([8, 16], 0, "^num_paths must be >= 1"),
+])
+def test_probes_reject_bad_levels_and_path_counts(dw_model, n_list, num_paths, message):
+    for probe in (moment_probe, taming_gap_probe):
+        with pytest.raises(ValueError, match=message):
+            probe(dw_model, "randomized_tamed", n_list, 2.0, num_paths)
+
+
 def test_gap_probe_zero_for_untamed(dw_model, jumps_unit):
     table = taming_gap_probe(dw_model, "classical", [16, 32], 2.0, 5,
                              x0=2.0, jump_model=jumps_unit)

@@ -7,6 +7,7 @@ map, so their results are compared with ``np.array_equal``, not a tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rteuler as rt
 from rteuler import (
@@ -21,6 +22,7 @@ from rteuler import (
     step,
 )
 from rteuler.cli import EXIT_DIVERGED, main
+from rteuler.rng import WINDOW, make_block_draw
 
 
 def scheme_config(variant, n):
@@ -92,7 +94,7 @@ def test_step_with_tamed_coefficients_equals_fused_kernel(dw_model):
     tcfg = TamingConfig(n, 2.0)
     grid = TimeGrid(n)
     cells = grid.cell_of(draw.jump_times)
-    dW = draw.increments_for(n)
+    dW = draw.fine_increments
     tamed = rt.tame(dw_model, tcfg)
     x = draw.x0
     states = [x]
@@ -185,3 +187,67 @@ def test_increment_width_must_match_dim_noise(dw_model):
     for run in _entry_points(dw_model):
         with pytest.raises(ValueError, match="dim_noise"):
             run(SchemeConfig("classical", 8), draw)
+
+
+def _stepped(model, variant, n, draw, intensity):
+    """One path stepped cell by cell with ``step``, on ``rt.tame``'d coefficients
+    for the tamed variants: its states up to divergence and the
+    ``DivergedPathError`` that stopped it, or None."""
+    grid, cfg = TimeGrid(n, model.horizon), scheme_config(variant, n)
+    coeffs = rt.tame(model, cfg.taming) if cfg.taming else model
+    dW = rt.coarsen(draw.fine_increments, draw.fine_n // n)
+    cells = grid.cell_of(draw.jump_times)
+    randomized = variant in ("randomized_tamed", "randomized_untamed")
+    x, states = draw.x0, [draw.x0]
+    try:
+        for k in range(1, n + 1):
+            jumps = [(t, z) for c, t, z in zip(cells, draw.jump_times, draw.jump_marks) if c == k]
+            x = step(x, k, grid, coeffs, dW[k - 1], jumps,
+                     phi=draw.phis[n][k - 1] if randomized else None, intensity=intensity)
+            states.append(x)
+    except DivergedPathError as err:
+        return np.array(states), err
+    return np.array(states), None
+
+
+def _assert_kernel_equals_step_loop(model, variant, n, fine_n, seed, B, intensity, x0):
+    kw = dict(fine_n=fine_n, m=model.dim_noise, horizon=model.horizon,
+              jump_model=rt.normal_marks(intensity), x0=x0)
+    block = make_block_draw(seed, range(B), coarse=[n], **kw)
+    got = simulate_paths(model, scheme_config(variant, n), block, intensity)
+    for b in range(B):
+        states, err = _stepped(model, variant, n,
+                               rt.make_path_draw(seed, b, levels=[n], **kw), intensity)
+        assert np.array_equal(got.states[b, : len(states)], states)
+        assert got.diverged_at[b] == (err.step_index if err else -1)
+        if err:
+            assert np.array_equal(got.states[b, err.step_index], err.state, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(rt.VARIANTS),
+    planar=st.booleans(),
+    n=st.sampled_from([4, 8, 16, 32]),
+    factor=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 5),
+    intensity=st.sampled_from([0.0, 3.0, 40.0]),
+    scale=st.sampled_from([1.0, 30.0]),
+)
+def test_kernel_on_block_equals_per_path_step_loop(dw_model, variant, planar, n, factor, seed,
+                                                   B, intensity, scale):
+    # the rows' starts come from their init streams; at scale 30 some diverge
+    # under the untamed variants and some do not
+    model = planar_model() if planar else dw_model
+    x0 = lambda gen: scale * gen.normal(size=model.dim_state)
+    _assert_kernel_equals_step_loop(model, variant, n, n * factor, seed, B, intensity, x0)
+
+
+@pytest.mark.parametrize("fine_n", [2048, 4096])
+def test_kernel_on_block_equals_step_loop_across_windows(fine_n):
+    # n = 2048 spans two kernel windows, read from the fine windows or from the
+    # kept coarse level
+    assert 2048 > WINDOW
+    _assert_kernel_equals_step_loop(planar_model(), "randomized_tamed", 2048, fine_n, 7, 3, 5.0,
+                                    np.array([1.0, -0.5]))

@@ -114,15 +114,6 @@ def test_randomizers_independent_across_levels():
     assert not np.array_equal(d.phis[64][:32], d.phis[32])
 
 
-def test_increments_for_validates_divisibility():
-    d = rt.make_path_draw(1, 0, fine_n=64, m=1, horizon=1.0, levels=[64],
-                          x0=np.array([0.0]))
-    with pytest.raises(ValueError):
-        d.increments_for(48)
-    assert d.increments_for(64).shape == (64, 1)
-    assert np.allclose(d.increments_for(16).sum(axis=0), d.fine_increments.sum(axis=0))
-
-
 def test_sampled_x0():
     d = rt.make_path_draw(1, 0, fine_n=4, m=1, horizon=1.0, levels=[4],
                           x0=lambda gen: gen.normal(size=1))
