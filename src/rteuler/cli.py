@@ -28,7 +28,7 @@ from .markov import Generator, simulate_ctmc
 from .model import DoubleWellParams, build_model, double_well_model, probe_growth
 from .plots import svg_loglog
 from .rng import StreamKey, StreamTag, make_path_draw, normal_marks
-from .scheme import DivergedPathError, scheme_config, simulate_path, simulate_sdde_switching
+from .scheme import DivergedPathError, SchemeConfig, simulate_path, simulate_sdde_switching
 from .taming import TamingConfig, check_taming_bounds
 
 EXIT_OK = 0
@@ -36,7 +36,8 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 # section -> key -> default; "" holds the root keys. Any other key is a config
-# error, and a key whose default is a list must be given a list.
+# error, a key whose default is a list must be given a list, and only a key
+# whose default is a boolean may be given one.
 SCHEMA = {
     "": {"seed": 0, "workers": 1, "out": "out", "format": "csv", "plot": False},
     "model": {"preset": StudyConfig.model, "params": {}, "x0": StudyConfig.x0},
@@ -92,6 +93,9 @@ def _checked(name: str, given) -> dict:
             continue
         if isinstance(out[key], (list, tuple)) and not isinstance(value, list):
             raise ConfigError(f"{dotted} must be a list, got {value!r}")
+        values = value if isinstance(value, list) else [value]
+        if not isinstance(out[key], bool) and any(isinstance(v, bool) for v in values):
+            raise ConfigError(f"{dotted} must not be a boolean, got {value!r}")
         out[key] = value
     return out
 
@@ -109,10 +113,11 @@ def load_config(path: str | None) -> dict:
             raise ConfigError("config root must be a mapping")
     sections = {name: _checked(name, data.pop(name, None) or {})
                 for name in SCHEMA if name and "." not in name}
+    if data.get("seed") is not None:  # before _checked, whose boolean message is less exact
+        _check_seed(data)
     config = {**_checked("", data), **sections}
     if config["simulate"]["sdde"]:
         config["simulate"]["sdde"] = _checked("simulate.sdde", config["simulate"]["sdde"])
-    _check_seed(config)
     intensity = config["jumps"]["intensity"]
     if not (isinstance(intensity, (int, float)) and 0.0 <= intensity < math.inf):
         raise ConfigError(f"jumps.intensity must be a finite number >= 0, got {intensity!r}")
@@ -225,16 +230,14 @@ def cmd_converge(args, config: dict) -> int:
 
 def _write_trajectory_csv(path: Path, traj) -> None:
     d = traj.states.shape[1]
-    header = "t," + ",".join(f"x_{i+1}" for i in range(d))
+    header = ["t"] + [f"x_{i+1}" for i in range(d)]
+    columns = [traj.grid.points().tolist()] + traj.states.T.tolist()
+    fmt = ",".join(["{:.17g}"] * (d + 1))
     if traj.regimes is not None:
-        header += ",regime"
-    lines = [header]
-    points = traj.grid.points()
-    for k in range(traj.grid.n + 1):
-        row = f"{points[k]:.17g}," + ",".join(f"{v:.17g}" for v in traj.states[k])
-        if traj.regimes is not None:
-            row += f",{traj.regimes[k]}"
-        lines.append(row)
+        header.append("regime")
+        columns.append(traj.regimes.tolist())
+        fmt += ",{}"
+    lines = [",".join(header)] + [fmt.format(*row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -244,7 +247,7 @@ def cmd_simulate(args, config: dict) -> int:
     n, variant = int(sec["n"]), sec["variant"]
     intensity = float(config["jumps"]["intensity"])
     try:
-        cfg = scheme_config(variant, n, model.zeta, **config["taming"])
+        cfg = SchemeConfig(variant, n, **config["taming"])
     except ValueError as exc:
         raise ConfigError(f"simulate.n is {n}, simulate.variant is {variant!r}: {exc}") from exc
     out = _out_dir(config)

@@ -66,6 +66,15 @@ class TimeGrid:
         # for phi near 1 the sum can round one ulp past t_k
         return min(self.point(k - 1) + self.dt * phi, self.point(k))
 
+    def xis(self, phi: np.ndarray, lo: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """``xi`` of cells lo+1, lo+2, ... at once, one cell per entry of phi's
+        first axis, with the same bits; ``phi`` is not checked, and ``out`` may
+        be ``phi`` itself."""
+        k = np.arange(lo, lo + len(phi)).reshape((-1,) + (1,) * (phi.ndim - 1))
+        out = np.multiply(phi, self.dt, out=out)
+        out += k * self.horizon / self.n
+        return np.minimum(out, (k + 1) * self.horizon / self.n, out=out)
+
     def cell_of(self, times: np.ndarray) -> np.ndarray:
         """1-based cell indices for event times, with tau in (t_{k-1}, t_k] -> k.
 

@@ -7,9 +7,9 @@ while the drift randomizers are independent per level. Errors are reported as
 (E|x_ref - x_n|^p)^(1/p) at the terminal time (or the max over the coarse
 grid), with batch-means standard errors.
 
-Every Monte Carlo driver builds its draws with ``_draws`` and its scheme
-configs with ``scheme.scheme_config``. Paths are processed in fixed-size
-blocks by path index, scheduled by ``_map_blocks``; blocks are the unit of
+Every Monte Carlo driver builds its draws with ``_draws``. Paths are
+processed in blocks of a fixed size (``STUDY_BLOCK_SIZE``, ``MOMENT_BLOCK_SIZE``)
+by path index, scheduled by ``_map_blocks``; blocks are the unit of
 parallelism and results are reduced in block order, so output is byte-stable
 under any worker count.
 """
@@ -23,12 +23,13 @@ from functools import partial
 
 import numpy as np
 
+from .grid import TimeGrid
 from .model import CoefficientSet, build_model
 from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
 from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
     VARIANTS,
-    scheme_config,
+    SchemeConfig,
     simulate_paths,
     variant_is_randomized,
     variant_is_tamed,
@@ -39,6 +40,8 @@ ERROR_TIMES = ("terminal", "max_over_grid")
 N_BATCHES = 20  # batches of the batch-means standard error
 GAP_MARK_SAMPLE = 128  # marks of taming_gap_probe's jump-gap expectation
 GAP_MAX_PAIRS = 32768  # most (state, time) pairs that expectation is evaluated at
+STUDY_BLOCK_SIZE = 1000  # most paths of a study block; fewer when that gives each worker one
+MOMENT_BLOCK_SIZE = 2048  # paths of a moment_probe block
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,6 @@ class StudyConfig:
     intensity: float = 1.0
     taming_n_power: float = 0.5
     taming_x_power: float | None = None
-    block_size: int = 1000
 
     def __post_init__(self):
         if not self.levels:
@@ -81,8 +83,6 @@ class StudyConfig:
             raise ValueError(f"error_time must be one of {ERROR_TIMES}")
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if not self.p_list or any(p < 1 for p in self.p_list):
             raise ValueError("p_list entries must be >= 1")
         if self.intensity < 0.0:
@@ -204,21 +204,21 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     model = build_model(cfg.model, cfg.model_params)
     jump_model = normal_marks(cfg.intensity) if cfg.intensity > 0.0 else None
     draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n, cfg.levels)
-    tame = dict(zeta=model.zeta, n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
+    tame = dict(n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
     factors = [cfg.reference_n // n for n in cfg.levels]
     # the reference keeps only the points the errors read: the terminal one, or
     # every point of the finest grid that holds all the levels' grids
     stride = math.gcd(*factors)
     terminal = cfg.error_time == "terminal"
     ref = simulate_paths(
-        model, scheme_config(cfg.reference_variant, cfg.reference_n, **tame), draws,
+        model, SchemeConfig(cfg.reference_variant, cfg.reference_n, **tame), draws,
         cfg.intensity, keep=slice(-1, None) if terminal else slice(None, None, stride),
     )
     out: dict = {"ref_diverged": ref.diverged.copy()}
     for variant in cfg.variants:
         errs = np.empty((len(paths), len(cfg.levels)))
         for j, n in enumerate(cfg.levels):
-            lvl = simulate_paths(model, scheme_config(variant, n, **tame), draws, cfg.intensity,
+            lvl = simulate_paths(model, SchemeConfig(variant, n, **tame), draws, cfg.intensity,
                                  keep=slice(-1, None) if terminal else slice(None))
             # at the terminal time both hold one point, and the max is over it
             ref_on_coarse = ref.states[:, :: factors[j] // stride]
@@ -252,13 +252,13 @@ def strong_error_study(
 ) -> list[ErrorReport]:
     """Run the coupled ladder study; one report per scheme variant.
 
-    Blocks hold ``cfg.block_size`` paths, fewer when that gives each worker
+    Blocks hold ``STUDY_BLOCK_SIZE`` paths, fewer when that gives each worker
     one; ``workers`` only changes how blocks are scheduled, never the results.
     ``progress`` is an optional callable(str) fed coarse status lines.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    block_size = min(cfg.block_size, -(-cfg.num_paths // workers))
+    block_size = min(STUDY_BLOCK_SIZE, -(-cfg.num_paths // workers))
     results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, block_size,
                           workers, progress)
     ref_diverged = np.concatenate([r["ref_diverged"] for r in results])
@@ -355,12 +355,10 @@ def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, b
         raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
     if num_paths < 1:
         raise ValueError(f"num_paths must be >= 1, got {num_paths}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
     fine = max(n_list)
     if any(fine % n for n in n_list):
         raise ValueError("n_list entries must divide max(n_list) for coupled draws")
-    cfgs = {n: scheme_config(variant, n, model.zeta, n_power, x_power) for n in n_list}
+    cfgs = {n: SchemeConfig(variant, n, n_power, x_power) for n in n_list}
     intensity = jump_model.intensity if jump_model else 0.0
 
     def run_block(paths: range) -> dict:
@@ -384,7 +382,6 @@ def moment_probe(
     base_seed: int = 0,
     taming_n_power: float = 0.5,
     taming_x_power: float | None = None,
-    block_size: int = 2048,
 ) -> MomentTable:
     """Empirical sup over the grid of the q-th moment, per step count.
 
@@ -402,7 +399,7 @@ def moment_probe(
                              on_chunk=partial(_add_chunk, q, sums, bad))
         return sums, bad, int(res.diverged.sum())
 
-    n_list, blocks = _probe(level, model, variant, n_list, num_paths, block_size, x0,
+    n_list, blocks = _probe(level, model, variant, n_list, num_paths, MOMENT_BLOCK_SIZE, x0,
                             jump_model, base_seed, taming_n_power, taming_x_power)
     rows = []
     for n in n_list:
@@ -467,20 +464,21 @@ def taming_gap_probe(
         marks = np.asarray(jump_model.mark_sampler(mark_gen, GAP_MARK_SAMPLE), dtype=float)
 
     def level(draws: BlockDraw, cfg, intensity: float) -> GapRow:
-        n, dt = cfg.n, model.horizon / cfg.n
+        grid = TimeGrid(cfg.n, model.horizon)
+        n, dt = grid.n, grid.dt
         if not tamed:
             return GapRow(n=n, dt=dt, drift_gap=0.0, diffusion_gap=0.0, jump_gap=0.0)
         phis = {n: draws.phis[n]} if randomized else {}
         res = simulate_paths(model, cfg, replace(draws, phis=phis), intensity)
         x_left = res.states[:, :-1, :]  # (B, n, d)
         ok = np.isfinite(x_left).all(axis=-1)
-        t_left = np.arange(n) * dt  # (n,)
+        t_left = grid.points()[:-1]  # (n,)
         if randomized:
-            t_drift = (t_left[None, :] + dt * phis[n])[..., None]
+            t_drift = grid.xis(phis[n].T).T[..., None]
         else:
             t_drift = np.broadcast_to(t_left[None, :, None], x_left.shape[:2] + (1,))
         # gap factor: tamed f = f / D, so |f - tamed f| = |f| (D-1)/D
-        dn = denominator(cfg.taming, x_left)
+        dn = denominator(cfg.taming_for(model), x_left)
         shrink = np.where(ok, (dn - 1.0) / dn, np.nan)
         mu = np.linalg.norm(model.drift(t_drift, x_left, None), axis=-1)
         drift_gap = float(np.nanmean((mu * shrink) ** p0))

@@ -53,32 +53,28 @@ def variant_is_tamed(variant: str) -> bool:
 class SchemeConfig:
     """Scheme variant, step count, and taming exponents.
 
-    ``taming`` is ignored by the untamed variants; when omitted it defaults to
-    the standard exponents built from the model's growth exponent.
+    A tamed variant divides each step by D_n(x) = 1 + n^(-n_power) |x|^(x_power),
+    with ``x_power`` None meaning 3*zeta/2 of the model stepped; the untamed
+    variants ignore both exponents.
     """
 
     variant: str
     n: int
-    taming: TamingConfig | None = None
+    n_power: float = 0.5
+    x_power: float | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.n < 1:
             raise ValueError("step count must be >= 1")
-        if self.taming is not None and self.taming.n != self.n:
-            raise ValueError("taming config step count differs from scheme step count")
+        TamingConfig(self.n, 0.0, self.n_power, self.x_power)  # rejects bad exponents
 
-
-def scheme_config(
-    variant: str, n: int, zeta: float, n_power: float = 0.5, x_power: float | None = None
-) -> SchemeConfig:
-    """The config of ``variant`` at ``n`` steps. A tamed variant gets the
-    taming exponents ``n_power`` and ``x_power`` (default 3*zeta/2); the
-    untamed ones get no taming."""
-    tamed = variant_is_tamed(variant)
-    taming = TamingConfig(n=n, zeta=zeta, n_power=n_power, x_power=x_power) if tamed else None
-    return SchemeConfig(variant=variant, n=n, taming=taming)
+    def taming_for(self, model: CoefficientSet) -> TamingConfig | None:
+        """The taming of ``model`` at this config; None for an untamed variant."""
+        if not variant_is_tamed(self.variant):
+            return None
+        return TamingConfig(self.n, model.zeta, self.n_power, self.x_power)
 
 
 class DivergedPathError(RuntimeError):
@@ -234,12 +230,7 @@ def _run(
     if randomized and n not in block.phis:
         raise ValueError(f"draws lack randomizers (phis) for level n={n}")
     cell_jumps = _jump_events(grid, block)
-    tamed = variant_is_tamed(cfg.variant)
-    arms = {
-        key: _arm(model, (cfg.taming or TamingConfig(n=n, zeta=model.zeta)) if tamed else None,
-                  intensity)
-        for key, model in models.items()
-    }
+    arms = {key: _arm(model, cfg.taming_for(model), intensity) for key, model in models.items()}
 
     kept = range(n + 1)[keep]  # ascending: a slice with a positive step
     states = np.empty((B, len(kept), d))
@@ -260,11 +251,8 @@ def _run(
                         if not (phi.min() > 0.0 and phi.max() <= 1.0):  # NaN fails both
                             raise ValueError(f"randomizers (phis) for level n={n} must lie "
                                              "in (0, 1]")
-                        # each cell's drift time t_{k-1} + dt * phi in phi's buffer,
-                        # with t_{k-1} = (k-1) * T / n as grid.point computes it
-                        t_drift = phi[..., None]
-                        t_drift *= dt
-                        t_drift += (np.arange(w_lo, w_hi) * grid.horizon / n)[:, None, None]
+                        # each cell's drift time, written into phi's buffer
+                        t_drift = grid.xis(phi[..., None], w_lo, out=phi[..., None])
                 t_left = grid.point(k - 1)
                 key, env = step_env(k, states)
                 x = _cell(x, t_left, t_drift[k - 1 - w_lo] if randomized else t_left, dt,

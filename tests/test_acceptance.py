@@ -140,9 +140,8 @@ def test_criterion_5_property_suite(dw_model, desk_study):
     const = rt.scalar_model(lambda t, x: x - 0.5 * x**3, zeta=2.0)
     draw = rt.make_path_draw(6, 0, fine_n=64, m=1, horizon=1.0, levels=[64],
                              x0=np.array([2.0]))
-    a = rt.simulate_path(const, SchemeConfig("randomized_tamed", 64,
-                                             TamingConfig(64, 2.0)), draw)
-    b = rt.simulate_path(const, SchemeConfig("tamed", 64, TamingConfig(64, 2.0)), draw)
+    a = rt.simulate_path(const, SchemeConfig("randomized_tamed", 64), draw)
+    b = rt.simulate_path(const, SchemeConfig("tamed", 64), draw)
     rand_ok = np.array_equal(a.states, b.states)
 
     ok = taming_ok and grid_ok and rng_ok and lp_ok and rand_ok
@@ -195,7 +194,7 @@ def test_criterion_7_appendix_constraints():
 def test_criterion_8_sdde_and_ctmc(dw_model, jumps_unit):
     draw = rt.make_path_draw(8, 0, fine_n=256, m=1, horizon=1.0, levels=[256],
                              jump_model=jumps_unit, x0=np.array([2.0]))
-    cfg = SchemeConfig("randomized_tamed", 256, TamingConfig(256, 2.0))
+    cfg = SchemeConfig("randomized_tamed", 256)
     chain1 = rt.MarkovPath(np.array([]), np.array([1]), 1.0)
     sdde = rt.simulate_sdde_switching({1: dw_model}, cfg, draw, 0.0,
                                       np.array([2.0]), chain1, intensity=1.0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import rteuler as rt
 from rteuler import PathDraw, StreamKey, StreamTag, brownian_increments, coarsen, jump_path
+from rteuler import harness
 from rteuler.harness import moment_probe
 from rteuler.rng import _philox_keys, make_block_draw, uniform_open_closed
 from rteuler.scheme import SchemeConfig, simulate_paths
@@ -142,23 +143,23 @@ def test_simulate_paths_on_block_equals_on_draw_list(dw_model, jumps_unit, varia
     block = make_block_draw(3, range(20), **kw)
     draws = [rt.make_path_draw(3, i, levels=[256, 64], **kw) for i in range(20)]
     for n in (256, 64):
-        tamed = variant == "randomized_tamed"
-        cfg = SchemeConfig(variant, n, rt.TamingConfig(n=n, zeta=dw_model.zeta) if tamed else None)
+        cfg = SchemeConfig(variant, n)
         got = simulate_paths(dw_model, cfg, block, jumps_unit.intensity)
         want = simulate_paths(dw_model, cfg, draws, jumps_unit.intensity)
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.diverged_at, want.diverged_at)
 
 
-def test_moment_probe_equals_reduction_over_per_key_draws(dw_model, jumps_unit):
+def test_moment_probe_equals_reduction_over_per_key_draws(dw_model, jumps_unit, monkeypatch):
     # at x0 = 0.3 the sup is away from t = 0, so it sees every draw
     n_list, q, num_paths = [16, 64], 4.0, 50
+    monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 16)
     got = moment_probe(dw_model, "randomized_tamed", n_list, q, num_paths, x0=0.3,
-                       jump_model=jumps_unit, base_seed=8, block_size=16)
+                       jump_model=jumps_unit, base_seed=8)
     draws = [_per_key_draw(8, i, 64, 1, dw_model.horizon, n_list, jumps_unit, np.array([0.3]))
              for i in range(num_paths)]
     for row, n in zip(got.rows, n_list):
-        cfg = SchemeConfig("randomized_tamed", n, rt.TamingConfig(n=n, zeta=dw_model.zeta))
+        cfg = SchemeConfig("randomized_tamed", n)
         sums = np.zeros(n + 1)
         for lo in range(0, num_paths, 16):  # the probe's blocks, added in block order
             states = simulate_paths(dw_model, cfg, draws[lo:lo + 16], jumps_unit.intensity).states

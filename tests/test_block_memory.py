@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 import rteuler as rt
-from rteuler import BatchResult, make_path_draw, simulate_paths
+from rteuler import BatchResult, harness, make_path_draw, simulate_paths
 from rteuler.harness import _add_chunk, moment_probe
 from rteuler.scheme import CHUNK as MOMENT_CHUNK, _chunks
 
@@ -36,7 +36,6 @@ def _whole_array_probe(model, variant, n_list, q, num_paths, x0, jump_model, see
     """moment_probe's table as the whole-array reduction computes it."""
     fine = max(n_list)
     randomized = variant in ("randomized_tamed", "randomized_untamed")
-    tamed = variant in ("randomized_tamed", "tamed")
     sums = {n: np.zeros(n + 1) for n in n_list}
     bad = {n: np.zeros(n + 1, dtype=bool) for n in n_list}
     diverged = {n: 0 for n in n_list}
@@ -48,8 +47,7 @@ def _whole_array_probe(model, variant, n_list, q, num_paths, x0, jump_model, see
             for i in range(start, min(start + block, num_paths))
         ]
         for n in n_list:
-            taming = rt.TamingConfig(n=n, zeta=model.zeta) if tamed else None
-            res = simulate_paths(model, rt.SchemeConfig(variant, n, taming), draws,
+            res = simulate_paths(model, rt.SchemeConfig(variant, n), draws,
                                  jump_model.intensity if jump_model else 0.0)
             s, b = _whole_array_sums(res.states, q)
             sums[n] += s
@@ -78,39 +76,73 @@ def test_add_moments_equals_whole_array_reduction_bit_for_bit():
             assert np.array_equal(bad, want_bad)
 
 
-def test_moment_probe_equals_whole_array_reduction(dw_model, jumps_unit):
+def test_moment_probe_equals_whole_array_reduction(dw_model, jumps_unit, monkeypatch):
     # x0 = 0.3 puts the sup away from t = 0; n = 256 spans several chunks
     n_list = [64, 2 * MOMENT_CHUNK]
+    monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 64)
     got = moment_probe(dw_model, "randomized_tamed", n_list, 4.0, 150, x0=0.3,
-                       jump_model=jumps_unit, base_seed=4, block_size=64)
+                       jump_model=jumps_unit, base_seed=4)
     want = _whole_array_probe(dw_model, "randomized_tamed", n_list, 4.0, 150, 0.3,
                               jumps_unit, 4, 64)
     assert [(r.sup_moment, r.diverged_frac) for r in got.rows] == want
     assert got.rows[-1].sup_moment != 0.3**4
 
 
-def test_moment_probe_equals_whole_array_reduction_when_diverging(dw_model, jumps_unit):
+def test_moment_probe_equals_whole_array_reduction_when_diverging(dw_model, jumps_unit,
+                                                                  monkeypatch):
     # classical Euler from x0 = 9 blows up at n = 8 and 16 but not at 32
     n_list = [8, 16, 32]
+    monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 8)
     got = moment_probe(dw_model, "classical", n_list, 4.0, 20, x0=9.0,
-                       jump_model=jumps_unit, base_seed=5, block_size=8)
+                       jump_model=jumps_unit, base_seed=5)
     want = _whole_array_probe(dw_model, "classical", n_list, 4.0, 20, 9.0, jumps_unit, 5, 8)
     assert [(r.sup_moment, r.diverged_frac) for r in got.rows] == want
     assert [r.sup_moment == np.inf for r in got.rows] == [True, True, False]
 
 
-def test_moment_probe_peak_holds_one_block_of_draws(dw_model):
+def test_moment_probe_sums_paths_in_order_then_blocks_in_order(dw_model, monkeypatch):
+    # each block sums |x_k|^q over its paths in path order and the block sums
+    # are added in block order, so the last digits depend on the block size
+    n, q, num_paths, jumps = 64, 4.0, 30, rt.normal_marks(1.0)
+    draws = [make_path_draw(1, i, fine_n=n, m=1, horizon=1.0, levels=[n], jump_model=jumps,
+                            x0=np.array([0.3])) for i in range(num_paths)]
+    states = simulate_paths(dw_model, rt.SchemeConfig("randomized_tamed", n), draws, 1.0).states
+    powered = np.linalg.norm(states, axis=-1) ** q
+
+    def by_hand(block):
+        sums = np.zeros(n + 1)
+        for lo in range(0, num_paths, block):
+            part = np.zeros(n + 1)
+            for row in powered[lo : lo + block]:
+                part = part + row
+            sums = sums + part
+        return float((sums / num_paths).max())
+
+    def probe(block):
+        monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", block)
+        table = moment_probe(dw_model, "randomized_tamed", [n], q, num_paths, x0=0.3,
+                             jump_model=jumps, base_seed=1)
+        return table.rows[0].sup_moment
+
+    sups = {block: probe(block) for block in (7, num_paths)}
+    assert sups == {block: by_hand(block) for block in sups}
+    assert sups[7] != sups[num_paths] and sups[7] != 0.3**q
+
+
+def test_moment_probe_peak_holds_one_block_of_draws(dw_model, monkeypatch):
     n_list, block = [256, 512, 1024], 128
     one = make_path_draw(0, 0, fine_n=1024, m=1, horizon=1.0, levels=n_list,
                          x0=np.array([2.0]))
     draw_bytes = block * (one.fine_increments.nbytes + one.x0.nbytes
                           + sum(p.nbytes for p in one.phis.values()))
     state_bytes = block * (max(n_list) + 1) * 8  # one level's (B, n+1, 1) states
-    moment_probe(dw_model, "randomized_tamed", [8], 4.0, 2, block_size=1)  # warm-up
+    monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 1)
+    moment_probe(dw_model, "randomized_tamed", [8], 4.0, 2)  # warm-up
+    monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", block)
     tracemalloc.start()
     try:
         moment_probe(dw_model, "randomized_tamed", n_list, 4.0, 2 * block, x0=0.3,
-                     base_seed=3, block_size=block)
+                     base_seed=3)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

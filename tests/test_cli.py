@@ -296,6 +296,20 @@ def test_scalar_for_list_is_config_error(tmp_path, capsys, command, section, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("converge", "jumps", "intensity", True), ("simulate", "simulate", "n", True),
+    ("converge", "study", "levels", [64, True]),
+])
+def test_boolean_for_number_is_config_error(tmp_path, capsys, command, section, key, value):
+    doc = dict(SMALL_STUDY, **{section: dict(SMALL_STUDY[section], **{key: value})})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: {section}.{key} must not be a boolean, got {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["simulate", "--n", "0"], "simulate.n"),
     (["converge", "--paths", "0"], "study.num_paths"),

@@ -22,6 +22,18 @@ def test_kappa_boundaries():
         g.kappa(1.01)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 12])
+def test_xis_equals_xi_cell_by_cell(n):
+    g = TimeGrid(n, 1.0)
+    phi = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 3))
+    phi[:, 0] = 1.0  # rounds past t_k in some cells at n = 5, 6, 12 (3 * 0.2 > 0.6)
+    for lo in (0, 1):
+        want = [[g.xi(lo + k + 1, p) for p in row] for k, row in enumerate(phi[: n - lo])]
+        assert np.array_equal(g.xis(phi[: n - lo], lo), want)
+    out = phi.copy()
+    assert g.xis(out, out=out) is out and np.array_equal(out, g.xis(phi))
+
+
 def test_xi_examples():
     assert TimeGrid(4, 1.0).xi(1, 1.0) == 0.25
     assert TimeGrid(4, 1.0).xi(2, 0.5) == 0.375

@@ -5,7 +5,9 @@ import pytest
 
 import rteuler as rt
 from rteuler import SchemeConfig, StudyConfig, fit_rate, moment_probe, strong_error_study
+from rteuler import harness
 from rteuler.harness import taming_gap_probe
+from rteuler.rng import make_block_draw
 
 # Benchmark L1 errors of the tamed randomized scheme on the double-well
 # problem at step sizes 2^-8 .. 2^-17 (fixture for the regression oracle).
@@ -61,7 +63,7 @@ def test_identical_construction_gives_exactly_zero_error(dw_model, jumps_unit):
                           jump_model=jumps_unit, x0=np.array([2.0]))
         for i in range(4)
     ]
-    cfg = SchemeConfig("randomized_tamed", 128, rt.TamingConfig(128, 2.0))
+    cfg = SchemeConfig("randomized_tamed", 128)
     a = rt.simulate_paths(dw_model, cfg, draws, intensity=1.0)
     b = rt.simulate_paths(dw_model, cfg, draws, intensity=1.0)
     assert np.array_equal(a.states, b.states)
@@ -125,9 +127,10 @@ def test_error_monotonicity_along_ladder(small_dw_study):
             assert fine.error <= coarse.error + 3.0 * (fine.stderr + coarse.stderr)
 
 
-def test_study_determinism_and_worker_invariance():
+def test_study_determinism_and_worker_invariance(monkeypatch):
+    monkeypatch.setattr(harness, "STUDY_BLOCK_SIZE", 50)
     cfg = StudyConfig(num_paths=120, levels=(32, 64), reference_n=512, base_seed=5,
-                      p_list=(1, 2), block_size=50)
+                      p_list=(1, 2))
     a = strong_error_study(cfg, workers=1)[0]
     b = strong_error_study(cfg, workers=2)[0]
     assert a.to_csv() == b.to_csv()
@@ -187,13 +190,9 @@ def test_moment_probe_validation(dw_model):
         moment_probe(dw_model, "classical", [8, 12], 2.0, 4)
 
 
-def test_block_and_worker_counts_rejected_at_the_argument(dw_model):
-    with pytest.raises(ValueError, match="^block_size must be >= 1"):
-        StudyConfig(block_size=0)
+def test_worker_count_rejected_at_the_argument():
     with pytest.raises(ValueError, match="^workers must be >= 1"):
         strong_error_study(StudyConfig(num_paths=4, levels=(4, 8, 16), reference_n=32), workers=0)
-    with pytest.raises(ValueError, match="^block_size must be >= 1"):
-        moment_probe(dw_model, "classical", [8], 4.0, 4, block_size=0)
 
 
 @pytest.mark.parametrize("n_list, num_paths, message", [
@@ -214,6 +213,27 @@ def test_gap_probe_zero_for_untamed(dw_model, jumps_unit):
     for row in table.rows:
         assert row.drift_gap == row.diffusion_gap == row.jump_gap == 0.0
     assert table.exponents["drift_gap"] is None
+
+
+def test_gap_probe_reads_its_times_from_the_grid(dw_model):
+    # at n = 5, k * dt is not t_k = k*T/n (3 * 0.2 > 0.6): the probe evaluates
+    # the diffusion at the grid's points and the drift at TimeGrid.xi
+    n, seen = 5, {}
+
+    def recording(name):
+        def coefficient(t, x, env=None):
+            if np.ndim(t) == 3:  # the probe's (B, n, 1) times, not the kernel's
+                seen[name] = np.array(t[..., 0])
+            return getattr(dw_model, name)(t, x, env)
+        return coefficient
+
+    model = dw_model.replace(drift=recording("drift"), diffusion=recording("diffusion"))
+    taming_gap_probe(model, "randomized_tamed", [n], 2.0, 3, x0=0.5, base_seed=2)
+    grid = rt.TimeGrid(n)
+    phis = make_block_draw(2, range(3), fine_n=n, m=1, horizon=1.0, x0=0.5).phis[n]
+    assert np.array_equal(seen["drift"], [[grid.xi(k, p) for k, p in enumerate(row, 1)]
+                                          for row in phis])
+    assert np.array_equal(seen["diffusion"], [grid.points()[:-1]])
 
 
 def test_gap_probe_zero_for_zero_model():

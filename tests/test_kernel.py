@@ -25,11 +25,6 @@ from rteuler.cli import EXIT_DIVERGED, main
 from rteuler.rng import WINDOW, make_block_draw
 
 
-def scheme_config(variant, n):
-    tamed = variant in ("randomized_tamed", "tamed")
-    return SchemeConfig(variant, n, TamingConfig(n, 2.0) if tamed else None)
-
-
 def planar_model():
     """2-d state and noise, cubic drift, non-zero-mean jumps with a compensator."""
     def drift(t, x, env=None):
@@ -64,7 +59,7 @@ def test_single_path_equals_batch_row_exactly(variant, dw_model):
             for seed in (3, 17, 2026) for i in range(3)
         ]
         for n in (128, 16):
-            cfg = scheme_config(variant, n)
+            cfg = SchemeConfig(variant, n)
             batch = simulate_paths(model, cfg, draws, intensity=40.0)
             assert not batch.diverged.any()
             for i, d in enumerate(draws):
@@ -75,7 +70,7 @@ def test_single_path_equals_batch_row_exactly(variant, dw_model):
 @pytest.mark.parametrize("variant", rt.VARIANTS)
 def test_sdde_single_regime_zero_delay_equals_plain_exactly(variant, dw_model, jumps_unit):
     chain = MarkovPath(np.array([]), np.array([1]), 1.0)
-    cfg = scheme_config(variant, 64)
+    cfg = SchemeConfig(variant, 64)
     for seed in (5, 6, 7):
         draw = rt.make_path_draw(seed, 0, fine_n=64, m=1, horizon=1.0, levels=[64],
                                  jump_model=jumps_unit, x0=np.array([2.0]))
@@ -103,7 +98,7 @@ def test_step_with_tamed_coefficients_equals_fused_kernel(dw_model):
         x = step(x, k, grid, tamed, dW[k - 1], cell_jumps, phi=draw.phis[n][k - 1],
                  intensity=20.0)
         states.append(x)
-    traj = simulate_path(dw_model, SchemeConfig("randomized_tamed", n, tcfg), draw,
+    traj = simulate_path(dw_model, SchemeConfig("randomized_tamed", n), draw,
                          intensity=20.0)
     assert len(draw.jump_times) > 0
     assert np.array_equal(np.array(states), traj.states)
@@ -193,8 +188,8 @@ def _stepped(model, variant, n, draw, intensity):
     """One path stepped cell by cell with ``step``, on ``rt.tame``'d coefficients
     for the tamed variants: its states up to divergence and the
     ``DivergedPathError`` that stopped it, or None."""
-    grid, cfg = TimeGrid(n, model.horizon), scheme_config(variant, n)
-    coeffs = rt.tame(model, cfg.taming) if cfg.taming else model
+    grid, taming = TimeGrid(n, model.horizon), SchemeConfig(variant, n).taming_for(model)
+    coeffs = rt.tame(model, taming) if taming else model
     dW = rt.coarsen(draw.fine_increments, draw.fine_n // n)
     cells = grid.cell_of(draw.jump_times)
     randomized = variant in ("randomized_tamed", "randomized_untamed")
@@ -214,7 +209,7 @@ def _assert_kernel_equals_step_loop(model, variant, n, fine_n, seed, B, intensit
     kw = dict(fine_n=fine_n, m=model.dim_noise, horizon=model.horizon,
               jump_model=rt.normal_marks(intensity), x0=x0)
     block = make_block_draw(seed, range(B), coarse=[n], **kw)
-    got = simulate_paths(model, scheme_config(variant, n), block, intensity)
+    got = simulate_paths(model, SchemeConfig(variant, n), block, intensity)
     for b in range(B):
         states, err = _stepped(model, variant, n,
                                rt.make_path_draw(seed, b, levels=[n], **kw), intensity)
@@ -224,11 +219,34 @@ def _assert_kernel_equals_step_loop(model, variant, n, fine_n, seed, B, intensit
             assert np.array_equal(got.states[b, err.step_index], err.state, equal_nan=True)
 
 
+def test_drift_time_stays_in_its_cell():
+    # at n = 5, t_2 + dt * 1 rounds to 0.6000000000000001, past t_3 = 0.6: every
+    # entry point must evaluate the drift at TimeGrid.xi's time, as ``step`` does
+    times = []
+
+    def drift(t, x):
+        times.append(float(np.squeeze(t)))
+        return t + 0.0 * x
+
+    model = rt.scalar_model(drift)
+    draw = _randomized_draw(n=5, x0=(1.0,))
+    draw.phis[5][2] = 1.0
+    assert 0.4 + 0.2 * 1.0 > 0.6
+    states, _err = _stepped(model, "randomized_untamed", 5, draw, 0.0)
+    want = [TimeGrid(5).xi(k, phi) for k, phi in enumerate(draw.phis[5], 1)]
+    assert times == want and want[2] == 0.6
+    for run in _entry_points(model):
+        times.clear()
+        got = run(SchemeConfig("randomized_untamed", 5), draw).states
+        assert times == want
+        assert np.array_equal(got.reshape(states.shape), states)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     variant=st.sampled_from(rt.VARIANTS),
     planar=st.booleans(),
-    n=st.sampled_from([4, 8, 16, 32]),
+    n=st.sampled_from([4, 5, 6, 8, 12, 16, 32]),
     factor=st.sampled_from([1, 2, 4]),
     seed=st.integers(0, 2**32 - 1),
     B=st.integers(1, 5),

@@ -25,8 +25,20 @@ def test_config_validation():
         SchemeConfig("euler", 4)
     with pytest.raises(ValueError):
         SchemeConfig("classical", 0)
-    with pytest.raises(ValueError):
-        SchemeConfig("tamed", 4, TamingConfig(n=8, zeta=1.0))
+    with pytest.raises(ValueError, match="^n_power must be > 0"):
+        SchemeConfig("tamed", 4, n_power=0.0)
+    with pytest.raises(ValueError, match="^x_power must be >= 0"):
+        SchemeConfig("classical", 4, x_power=-1.0)
+
+
+def test_taming_for_reads_the_models_growth_exponent(dw_model):
+    assert SchemeConfig("classical", 8).taming_for(dw_model) is None
+    assert SchemeConfig("randomized_untamed", 8).taming_for(dw_model) is None
+    for variant in ("tamed", "randomized_tamed"):
+        assert SchemeConfig(variant, 8).taming_for(dw_model) == TamingConfig(8, 2.0)
+        linear = rt.scalar_model(lambda t, x: -x, zeta=0.0)
+        assert SchemeConfig(variant, 8, 0.25, 1.0).taming_for(linear) == TamingConfig(8, 0.0,
+                                                                                       0.25, 1.0)
 
 
 def test_step_zero_coefficients():
@@ -90,7 +102,7 @@ def test_classical_matches_textbook_recursion_on_linear_sde():
 def test_golden_trajectory_bit_stable(dw_model, jumps_unit):
     draw = rt.make_path_draw(2024, 0, fine_n=64, m=1, horizon=1.0, levels=[64],
                              jump_model=jumps_unit, x0=np.array([2.0]))
-    traj = simulate_path(dw_model, SchemeConfig("randomized_tamed", 64, TamingConfig(64, 2.0)),
+    traj = simulate_path(dw_model, SchemeConfig("randomized_tamed", 64),
                          draw, intensity=1.0)
     lines = ["t,x_1"]
     pts = traj.grid.points()
@@ -108,8 +120,8 @@ def test_randomization_invariance_bitwise_for_time_constant_drift(jumps_unit):
     )
     draw = rt.make_path_draw(3, 1, fine_n=64, m=1, horizon=1.0, levels=[64],
                              jump_model=jumps_unit, x0=np.array([2.0]))
-    cfgr = SchemeConfig("randomized_tamed", 64, TamingConfig(64, 2.0))
-    cfgl = SchemeConfig("tamed", 64, TamingConfig(64, 2.0))
+    cfgr = SchemeConfig("randomized_tamed", 64)
+    cfgl = SchemeConfig("tamed", 64)
     a = simulate_path(model, cfgr, draw, intensity=1.0)
     b = simulate_path(model, cfgl, draw, intensity=1.0)
     assert np.array_equal(a.states, b.states)
@@ -119,8 +131,8 @@ def test_taming_noop_in_linear_regime():
     model = rt.scalar_model(lambda t, x: -x, sigma=lambda t, x: 0.1 * x, zeta=0.0)
     draw = rt.make_path_draw(5, 0, fine_n=64, m=1, horizon=1.0, levels=[64],
                              x0=np.array([1.0]))
-    huge_n_behavior = TamingConfig(n=64, zeta=0.0, n_power=8.0, x_power=0.0)
-    tamed = simulate_path(model, SchemeConfig("tamed", 64, huge_n_behavior), draw)
+    huge_n_behavior = SchemeConfig("tamed", 64, n_power=8.0, x_power=0.0)
+    tamed = simulate_path(model, huge_n_behavior, draw)
     untamed = simulate_path(model, SchemeConfig("classical", 64), draw)
     assert np.max(np.abs(tamed.states - untamed.states)) < 1e-8
 
@@ -130,7 +142,7 @@ def test_compensator_skipped_exactly_for_zero_mean_marks(dw_model, jumps_unit):
     # the trajectory must not depend on it at all
     draw = rt.make_path_draw(11, 0, fine_n=32, m=1, horizon=1.0, levels=[32],
                              jump_model=jumps_unit, x0=np.array([2.0]))
-    cfg = SchemeConfig("randomized_tamed", 32, TamingConfig(32, 2.0))
+    cfg = SchemeConfig("randomized_tamed", 32)
     a = simulate_path(dw_model, cfg, draw, intensity=1.0)
     b = simulate_path(dw_model, cfg, draw, intensity=7.5)
     assert np.array_equal(a.states, b.states)
@@ -164,7 +176,7 @@ def test_batch_agrees_with_per_path(dw_model, jumps_unit):
         for i in range(6)
     ]
     for n in (256, 64):
-        cfg = SchemeConfig("randomized_tamed", n, TamingConfig(n, 2.0))
+        cfg = SchemeConfig("randomized_tamed", n)
         batch = simulate_paths(dw_model, cfg, draws, intensity=1.0)
         assert not batch.diverged.any()
         for i, d in enumerate(draws):
@@ -212,7 +224,7 @@ def test_batch_divergence_detection():
 def test_sdde_reduces_to_plain_scheme(dw_model, jumps_unit):
     draw = rt.make_path_draw(5, 0, fine_n=128, m=1, horizon=1.0, levels=[128],
                              jump_model=jumps_unit, x0=np.array([2.0]))
-    cfg = SchemeConfig("randomized_tamed", 128, TamingConfig(128, 2.0))
+    cfg = SchemeConfig("randomized_tamed", 128)
     chain = MarkovPath(np.array([]), np.array([1]), 1.0)
     sdde = simulate_sdde_switching({1: dw_model}, cfg, draw, 0.0, np.array([2.0]),
                                    chain, intensity=1.0)

@@ -20,10 +20,11 @@ import pytest
 import yaml
 
 import rteuler as rt
+from rteuler import harness
 from rteuler.cli import main
 from rteuler.harness import StudyConfig, _add_chunk, _study_block, strong_error_study
 from rteuler.rng import make_block_draw
-from rteuler.scheme import CHUNK, _chunks, scheme_config
+from rteuler.scheme import CHUNK, SchemeConfig, _chunks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,7 +51,7 @@ def _case(name, n):
     model = rt.double_well_model()
     if name == "double_well_classical":  # from x0 = 9 as in the moment probe's tests
         return model, rt.SchemeConfig("classical", n), 9.0
-    return model, scheme_config(name, n, model.zeta), 0.3
+    return model, SchemeConfig(name, n), 0.3
 
 
 @pytest.mark.parametrize("B", [1, 7, 300])
@@ -112,16 +113,18 @@ def _small_study(error_time, **kw):
 
 
 @pytest.mark.parametrize("error_time", ["terminal", "max_over_grid"])
-def test_study_bytes_hold_across_block_sizes_and_workers(error_time):
-    def csvs(cfg, workers=1):
-        return [r.to_csv() for r in strong_error_study(cfg, workers=workers)]
+def test_study_bytes_hold_across_block_sizes_and_workers(error_time, monkeypatch):
+    def csvs(workers=1):
+        return [r.to_csv() for r in strong_error_study(_small_study(error_time), workers=workers)]
 
-    want = csvs(_small_study(error_time))  # one block of the default 1000
-    assert StudyConfig.block_size == 1000
+    want = csvs()  # one block of the default 1000
+    assert harness.STUDY_BLOCK_SIZE == 1000
     for block_size in (1, 7, 250, 333, 500, 1000):
-        assert csvs(_small_study(error_time, block_size=block_size)) == want
+        monkeypatch.setattr(harness, "STUDY_BLOCK_SIZE", block_size)
+        assert csvs() == want
     # two blocks of 130, one per worker, so workers=2 starts a pool of two
-    assert csvs(_small_study(error_time, block_size=250), workers=2) == want
+    monkeypatch.setattr(harness, "STUDY_BLOCK_SIZE", 250)
+    assert csvs(workers=2) == want
 
 
 @pytest.mark.parametrize("error_time", ["terminal", "max_over_grid"])
@@ -133,11 +136,11 @@ def test_study_block_equals_errors_of_all_points_runs(error_time):
     model = rt.double_well_model()
     draws = make_block_draw(cfg.base_seed, range(5, 25), fine_n=48, m=1, horizon=1.0,
                             jump_model=rt.normal_marks(3.0), x0=0.3)
-    ref = rt.simulate_paths(model, scheme_config(cfg.reference_variant, 48, model.zeta),
+    ref = rt.simulate_paths(model, SchemeConfig(cfg.reference_variant, 48),
                             draws, 3.0)
     for variant in cfg.variants:
         for j, n in enumerate(cfg.levels):
-            lvl = rt.simulate_paths(model, scheme_config(variant, n, model.zeta), draws, 3.0)
+            lvl = rt.simulate_paths(model, SchemeConfig(variant, n), draws, 3.0)
             if error_time == "terminal":
                 diff = np.linalg.norm(ref.states[:, -1] - lvl.states[:, -1], axis=-1)
             else:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rteuler as rt
-from rteuler import rng
+from rteuler import harness, rng
 from rteuler.harness import StudyConfig, _study_block, moment_probe, strong_error_study
 from rteuler.harness import taming_gap_probe
 from rteuler.rng import StreamTag
@@ -87,6 +87,6 @@ def test_study_runs_one_block_per_worker_up_to_block_size(workers, blocks):
     said = []
     cfg = StudyConfig(levels=(8, 16, 32), reference_n=64, num_paths=1000, p_list=(2,),
                       intensity=0.0, base_seed=1)
-    assert cfg.block_size == 1000
+    assert harness.STUDY_BLOCK_SIZE == 1000
     strong_error_study(cfg, workers=workers, progress=said.append)
     assert said[0] == f"simulating 1000 paths in {blocks} blocks"
