@@ -55,6 +55,11 @@ SCHEMA = {
     "verify": {"q_values": [4, 648], "p0_values": [2, 4], "lambda_factor": 1.001, "taming_n": 256},
 }
 
+# the dotted keys that hold an integer, or a list of integers
+INTEGER_KEYS = {"workers", "study.levels", "study.reference_n", "study.num_paths", "simulate.n",
+                "simulate.sdde.alpha0", "moments.n_list", "moments.num_paths",
+                "verify.q_values", "verify.p0_values", "verify.taming_n"}
+
 # subcommand -> flag -> the dotted config key it overrides when given
 FLAGS = {
     "converge": {"seed": "seed", "out": "out", "variant": "study.variants", "plot": "plot",
@@ -93,9 +98,14 @@ def _checked(name: str, given) -> dict:
             continue
         if isinstance(out[key], (list, tuple)) and not isinstance(value, list):
             raise ConfigError(f"{dotted} must be a list, got {value!r}")
+        if isinstance(out[key], dict) and not isinstance(value, dict):
+            raise ConfigError(f"{dotted} must be a mapping, got {value!r}")
         values = value if isinstance(value, list) else [value]
         if not isinstance(out[key], bool) and any(isinstance(v, bool) for v in values):
             raise ConfigError(f"{dotted} must not be a boolean, got {value!r}")
+        if dotted in INTEGER_KEYS and not all(isinstance(v, int) for v in values):
+            kind = "a list of integers" if isinstance(value, list) else "an integer"
+            raise ConfigError(f"{dotted} must be {kind}, got {value!r}")
         out[key] = value
     return out
 
@@ -149,12 +159,21 @@ def _apply_flags(config: dict, args) -> None:
     _check_seed(config)
 
 
+def _built(factory, params: dict, dotted: str, given: dict | None = None):
+    """``factory(params)``. An error whose message starts with a key of
+    ``given`` (default ``params``), the params the config holds at ``dotted``,
+    names that key's dotted path."""
+    try:
+        return factory(params)
+    except (KeyError, TypeError, ValueError) as exc:
+        if str(exc).partition(" ")[0] in (params if given is None else given):
+            raise ConfigError(f"{dotted}.{exc}") from exc
+        raise ConfigError(f"bad model config: {exc}") from exc
+
+
 def _model(config: dict):
     model = config["model"]
-    try:
-        return build_model(model["preset"], model["params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
+    return _built(partial(build_model, model["preset"]), model["params"], "model.params")
 
 
 def _study_config(config: dict) -> StudyConfig:
@@ -162,14 +181,12 @@ def _study_config(config: dict) -> StudyConfig:
     model, taming = config["model"], config["taming"]
     study = {k: tuple(v) if isinstance(v, list) else v for k, v in config["study"].items()}
     try:
-        study.update(levels=tuple(int(n) for n in study["levels"]),
-                     reference_n=int(study["reference_n"]), num_paths=int(study["num_paths"]))
         return StudyConfig(
             **study,
             model=model["preset"],
             model_params=model["params"],
             x0=model["x0"],
-            base_seed=int(config["seed"]),
+            base_seed=config["seed"],
             intensity=float(config["jumps"]["intensity"]),
             taming_n_power=taming["n_power"],
             taming_x_power=taming["x_power"],
@@ -193,7 +210,7 @@ def _write_json(path: Path, doc) -> None:
 
 def cmd_converge(args, config: dict) -> int:
     cfg = _study_config(config)
-    workers, fmt = int(config["workers"]), config["format"]
+    workers, fmt = config["workers"], config["format"]
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if fmt not in ("csv", "json"):
@@ -243,8 +260,8 @@ def _write_trajectory_csv(path: Path, traj) -> None:
 
 def cmd_simulate(args, config: dict) -> int:
     model = _model(config)
-    sec, x0, seed = config["simulate"], config["model"]["x0"], int(config["seed"])
-    n, variant = int(sec["n"]), sec["variant"]
+    sec, x0, seed = config["simulate"], config["model"]["x0"], config["seed"]
+    n, variant = sec["n"], sec["variant"]
     intensity = float(config["jumps"]["intensity"])
     try:
         cfg = SchemeConfig(variant, n, **config["taming"])
@@ -260,13 +277,16 @@ def cmd_simulate(args, config: dict) -> int:
         if sdde:
             gen = Generator(np.asarray(sdde["generator"], dtype=float))
             chain = simulate_ctmc(
-                gen, int(sdde["alpha0"]), model.horizon, StreamKey(seed, 0, StreamTag.MARKOV)
+                gen, sdde["alpha0"], model.horizon, StreamKey(seed, 0, StreamTag.MARKOV)
             )
-            by_regime = {}
+            by_regime, build = {}, partial(build_model, config["model"]["preset"])
             for regime in range(1, gen.m0 + 1):
-                regime_params = dict(config["model"]["params"])
-                regime_params.update(sdde["params_by_regime"].get(regime, {}))
-                by_regime[regime] = build_model(config["model"]["preset"], regime_params)
+                given = sdde["params_by_regime"].get(regime, {})
+                dotted = f"simulate.sdde.params_by_regime.{regime}"
+                if not isinstance(given, dict):
+                    raise ConfigError(f"{dotted} must be a mapping, got {given!r}")
+                by_regime[regime] = _built(build, {**config["model"]["params"], **given},
+                                           dotted, given)
             segment = x0 if sdde["initial_segment"] is None else sdde["initial_segment"]
             traj = simulate_sdde_switching(
                 by_regime,
@@ -295,21 +315,18 @@ def cmd_verify(args, config: dict) -> int:
         raise ConfigError(
             f"model.preset is {preset!r}; verify checks the double-well constraints only"
         )
-    try:
-        dw = DoubleWellParams(**params) if params else DoubleWellParams()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model params: {exc}") from exc
+    dw = _built(lambda given: DoubleWellParams(**given), params, "model.params")
     lam = float(sec["lambda_factor"])
-    n = int(sec["taming_n"])
+    n = sec["taming_n"]
     if n < 1:
         raise ConfigError(f"verify.taming_n must be >= 1, got {n}")
 
     lines = []
     for q in sec["q_values"]:
-        rep = cons.check_coercivity(int(q), dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
+        rep = cons.check_coercivity(q, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
         lines.append(rep.format_row())
     for p0 in sec["p0_values"]:
-        rep = cons.check_monotonicity(int(p0), lam, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
+        rep = cons.check_monotonicity(p0, lam, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
         lines.append(rep.format_row())
 
     model = double_well_model(dw)
@@ -345,9 +362,8 @@ def cmd_moments(args, config: dict) -> int:
     out = _out_dir(config)
     try:
         table = harness.moment_probe(
-            model, sec["variant"], sec["n_list"], float(sec["q"]), int(sec["num_paths"]),
-            x0=config["model"]["x0"], jump_model=normal_marks(intensity),
-            base_seed=int(config["seed"]),
+            model, sec["variant"], sec["n_list"], float(sec["q"]), sec["num_paths"],
+            x0=config["model"]["x0"], jump_model=normal_marks(intensity), base_seed=config["seed"],
             taming_n_power=taming["n_power"], taming_x_power=taming["x_power"],
         )
     except ValueError as exc:

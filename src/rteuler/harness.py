@@ -41,7 +41,7 @@ N_BATCHES = 20  # batches of the batch-means standard error
 GAP_MARK_SAMPLE = 128  # marks of taming_gap_probe's jump-gap expectation
 GAP_MAX_PAIRS = 32768  # most (state, time) pairs that expectation is evaluated at
 STUDY_BLOCK_SIZE = 1000  # most paths of a study block; fewer when that gives each worker one
-MOMENT_BLOCK_SIZE = 2048  # paths of a moment_probe block
+MOMENT_BLOCK_SIZE = 2048  # paths of a probe block (moment_probe, taming_gap_probe)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class StudyConfig:
             raise ValueError("num_paths must be >= 1")
         if not self.p_list or any(p < 1 for p in self.p_list):
             raise ValueError("p_list entries must be >= 1")
-        if self.intensity < 0.0:
-            raise ValueError("intensity must be >= 0")
+        if not 0.0 <= self.intensity < math.inf:  # NaN fails too
+            raise ValueError(f"intensity must be a finite number >= 0, got {self.intensity}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,14 @@ def fit_rate(points) -> RateFit:
     coef, res, _rank, _sv = np.linalg.lstsq(a, y, rcond=None)
     residual = float(res[0]) if res.size else 0.0
     return RateFit(slope=float(coef[0]), intercept=float(coef[1]), residual=residual)
+
+
+def _fit_or_none(points) -> RateFit | None:
+    """``fit_rate(points)``, or None where it cannot fit a rate."""
+    try:
+        return fit_rate(points)
+    except ValueError:
+        return None
 
 
 @dataclass
@@ -275,14 +283,9 @@ def strong_error_study(
                 error, stderr = _batch_means(col, p)
                 rows.append(ErrorRow(dt=dt, p=p, error=error, stderr=stderr,
                                      diverged_frac=diverged_frac))
-        slopes: dict[float, RateFit | None] = {}
-        for p in cfg.p_list:
-            pts = [(r.dt, r.error) for r in rows
-                   if r.p == p and r.usable and r.error > 0.0]
-            try:
-                slopes[p] = fit_rate(pts)
-            except ValueError:
-                slopes[p] = None
+        slopes = {p: _fit_or_none([(r.dt, r.error) for r in rows
+                                   if r.p == p and r.usable and r.error > 0.0])
+                  for p in cfg.p_list}
         reports.append(
             ErrorReport(
                 variant=variant,
@@ -344,12 +347,11 @@ def _add_chunk(q: float, sums: np.ndarray, bad: np.ndarray, lo: int, chunk: np.n
     bad[lo:hi] |= ~finite.all(axis=0)
 
 
-def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, block_size: int,
-           x0, jump_model: JumpModel | None, base_seed: int, n_power: float,
-           x_power: float | None) -> tuple[list[int], list[dict]]:
+def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x0,
+           jump_model: JumpModel | None, base_seed: int, **tame) -> tuple[list[int], list[dict]]:
     """Both probes' front end: checks their arguments and returns ``n_list`` as
-    ints and, per block of paths, n -> ``level(draws, cfg, intensity)``, run on
-    the block's draws finest level first (its pass sums the coarser levels)."""
+    ints and, per ``MOMENT_BLOCK_SIZE`` block, n -> ``level(paths, draws, cfg,
+    intensity)``, finest level first (its pass sums the coarser levels' draws)."""
     n_list = [int(n) for n in n_list]
     if not n_list or min(n_list) < 1:
         raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
@@ -358,16 +360,16 @@ def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, b
     fine = max(n_list)
     if any(fine % n for n in n_list):
         raise ValueError("n_list entries must divide max(n_list) for coupled draws")
-    cfgs = {n: SchemeConfig(variant, n, n_power, x_power) for n in n_list}
+    cfgs = {n: SchemeConfig(variant, n, **tame) for n in n_list}
     intensity = jump_model.intensity if jump_model else 0.0
 
     def run_block(paths: range) -> dict:
         # the block's draws die when this returns, before the next block's are built
         draws = _draws(model, jump_model, base_seed, x0, paths, fine, n_list)
-        return {n: level(draws, cfgs[n], intensity)
+        return {n: level(paths, draws, cfgs[n], intensity)
                 for n in sorted(n_list, key=lambda n: n != fine)}
 
-    return n_list, _map_blocks(run_block, num_paths, block_size)
+    return n_list, _map_blocks(run_block, num_paths, MOMENT_BLOCK_SIZE)
 
 
 def moment_probe(
@@ -392,15 +394,15 @@ def moment_probe(
     if q < 2:
         raise ValueError("q must be >= 2")
 
-    def level(draws: BlockDraw, cfg, intensity: float) -> tuple:
+    def level(_paths: range, draws: BlockDraw, cfg, intensity: float) -> tuple:
         # the kernel reduces each chunk of states as it is stepped
         sums, bad = np.zeros(cfg.n + 1), np.zeros(cfg.n + 1, dtype=bool)
         res = simulate_paths(model, cfg, draws, intensity, keep=slice(0),
                              on_chunk=partial(_add_chunk, q, sums, bad))
         return sums, bad, int(res.diverged.sum())
 
-    n_list, blocks = _probe(level, model, variant, n_list, num_paths, MOMENT_BLOCK_SIZE, x0,
-                            jump_model, base_seed, taming_n_power, taming_x_power)
+    n_list, blocks = _probe(level, model, variant, n_list, num_paths, x0, jump_model, base_seed,
+                            n_power=taming_n_power, x_power=taming_x_power)
     rows = []
     for n in n_list:
         # each block's sums start from zeros, so adding them in block order
@@ -444,16 +446,15 @@ def taming_gap_probe(
     x0=2.0,
     jump_model: JumpModel | None = None,
     base_seed: int = 0,
-    taming_n_power: float = 0.5,
-    taming_x_power: float | None = None,
 ) -> GapTable:
     """Monte Carlo estimate of the taming perturbation E|f - f_tamed|^p0.
 
     The drift gap is evaluated at the randomized drift times, diffusion and
     jump gaps at left endpoints, all along simulated tamed trajectories; each
-    row averages over paths and steps. The fitted exponents are the decay
-    slopes of log2(gap) against log2(dt). For untamed variants every gap is
-    identically zero and no exponent is fitted.
+    row averages over paths and steps (the jump gap over every ``stride``-th
+    pair of the run), added up chunk by chunk as the kernel steps. The fitted
+    exponents are the decay slopes of log2(gap) against log2(dt). For untamed
+    variants every gap is identically zero and no exponent is fitted.
     """
     if p0 < 2:
         raise ValueError("p0 must be >= 2")
@@ -463,52 +464,51 @@ def taming_gap_probe(
         mark_gen = np.random.default_rng(base_seed)
         marks = np.asarray(jump_model.mark_sampler(mark_gen, GAP_MARK_SAMPLE), dtype=float)
 
-    def level(draws: BlockDraw, cfg, intensity: float) -> GapRow:
-        grid = TimeGrid(cfg.n, model.horizon)
-        n, dt = grid.n, grid.dt
+    def level(paths: range, draws: BlockDraw, cfg, intensity: float) -> np.ndarray:
+        sums = np.zeros((2, 3))  # the drift, diffusion and jump gaps' sums, then pair counts
         if not tamed:
-            return GapRow(n=n, dt=dt, drift_gap=0.0, diffusion_gap=0.0, jump_gap=0.0)
-        phis = {n: draws.phis[n]} if randomized else {}
-        res = simulate_paths(model, cfg, replace(draws, phis=phis), intensity)
-        x_left = res.states[:, :-1, :]  # (B, n, d)
-        ok = np.isfinite(x_left).all(axis=-1)
-        t_left = grid.points()[:-1]  # (n,)
-        if randomized:
-            t_drift = grid.xis(phis[n].T).T[..., None]
-        else:
-            t_drift = np.broadcast_to(t_left[None, :, None], x_left.shape[:2] + (1,))
-        # gap factor: tamed f = f / D, so |f - tamed f| = |f| (D-1)/D
-        dn = denominator(cfg.taming_for(model), x_left)
-        shrink = np.where(ok, (dn - 1.0) / dn, np.nan)
-        mu = np.linalg.norm(model.drift(t_drift, x_left, None), axis=-1)
-        drift_gap = float(np.nanmean((mu * shrink) ** p0))
-        sig = model.diffusion(t_left[None, :, None], x_left, None)
-        sig_norm = np.sqrt(np.sum(sig * sig, axis=(-2, -1)))
-        diffusion_gap = float(np.nanmean((sig_norm * shrink) ** p0))
-        jump_gap = 0.0
-        if jump_model is not None:
-            flat_x = x_left.reshape(-1, model.dim_state)
-            flat_t = np.broadcast_to(t_left[None, :], ok.shape).reshape(-1)
-            flat_shrink = shrink.reshape(-1)
-            stride = max(1, len(flat_x) // GAP_MAX_PAIRS)
-            sx, st, ss = flat_x[::stride], flat_t[::stride], flat_shrink[::stride]
-            # (pairs, marks, d)
-            gam = model.jump(st[:, None, None], sx[:, None, :], marks[None, :, :], None)
-            gnorm = np.linalg.norm(gam, axis=-1)
-            ez = np.mean(gnorm**p0, axis=1)  # per-pair mark expectation
-            jump_gap = float(np.nanmean(intensity * ez * ss**p0))
-        return GapRow(n=n, dt=dt, drift_gap=drift_gap, diffusion_gap=diffusion_gap,
-                      jump_gap=jump_gap)
+            return sums
+        n, grid, tcfg = cfg.n, TimeGrid(cfg.n, model.horizon), cfg.taming_for(model)
+        points = grid.points()[None, :, None]  # (1, n+1, 1), as the coefficients take times
+        phis = {n: draws.phis[n]} if randomized else {}  # filled once, for both readers
+        stride = max(1, num_paths * n // GAP_MAX_PAIRS)
+        first = np.arange(paths.start, paths.stop)[:, None] * n  # each path's first pair
 
-    # all paths in one block, so each row's nanmean runs over every path at once
-    n_list, (block,) = _probe(level, model, variant, n_list, num_paths, num_paths, x0,
-                              jump_model, base_seed, taming_n_power, taming_x_power)
-    rows = [block[n] for n in n_list]
-    exponents: dict[str, float | None] = {}
-    for name in ("drift_gap", "diffusion_gap", "jump_gap"):
-        pts = [(r.dt, getattr(r, name)) for r in rows if getattr(r, name) > 0.0]
-        try:
-            exponents[name] = fit_rate(pts).slope
-        except ValueError:
-            exponents[name] = None
-    return GapTable(rows=rows, exponents=exponents)
+        def add(lo: int, chunk: np.ndarray):
+            x = chunk[:, : n - lo]  # the left points: the last chunk also holds t_n
+            w = x.shape[1]
+            t = points[:, lo : lo + w]
+            t_drift = grid.xis(phis[n][:, lo : lo + w].T, lo).T[..., None] if randomized else t
+            # gap factor: tamed f = f / D, so |f - tamed f| = |f| (D-1)/D
+            dn = denominator(tcfg, x)
+            shrink = np.where(np.isfinite(x).all(axis=-1), (dn - 1.0) / dn, np.nan)
+            mu = np.linalg.norm(model.drift(t_drift, x, None), axis=-1)
+            sig_norm = np.sqrt(np.sum(model.diffusion(t, x, None) ** 2, axis=(-2, -1)))
+            gaps = [(mu * shrink) ** p0, (sig_norm * shrink) ** p0]
+            if jump_model is not None:
+                pick = (first + np.arange(lo, lo + w)) % stride == 0
+                st = np.broadcast_to(t[..., 0], pick.shape)[pick]
+                # (pairs, marks, d)
+                gam = model.jump(st[:, None, None], x[pick][:, None, :], marks[None, :, :], None)
+                ez = np.mean(np.linalg.norm(gam, axis=-1) ** p0, axis=1)  # per-pair expectation
+                gaps.append(intensity * ez * shrink[pick] ** p0)
+            for j, gap in enumerate(gaps):
+                sums[:, j] += np.nansum(gap), np.count_nonzero(~np.isnan(gap))
+
+        simulate_paths(model, cfg, replace(draws, phis=phis), intensity, keep=slice(0),
+                       on_chunk=add)
+        return sums
+
+    n_list, blocks = _probe(level, model, variant, n_list, num_paths, x0, jump_model, base_seed)
+    measured = [tamed, tamed, tamed and jump_model is not None]  # the other gaps are 0
+    rows = []
+    for n in n_list:
+        # block sums added in block order, over the pairs of every block
+        sums, counts = sum((b[n] for b in blocks), np.zeros((2, 3)))
+        with np.errstate(invalid="ignore"):  # nan where no pair's gap is a number
+            gaps = np.where(measured, sums / counts, 0.0)
+        rows.append(GapRow(n, model.horizon / n, *map(float, gaps)))
+    fits = {name: _fit_or_none([(r.dt, getattr(r, name)) for r in rows
+                                if getattr(r, name) > 0.0])
+            for name in ("drift_gap", "diffusion_gap", "jump_gap")}
+    return GapTable(rows=rows, exponents={name: f.slope if f else None for name, f in fits.items()})

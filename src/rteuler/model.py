@@ -11,6 +11,7 @@ coefficients enters only through the ``env`` argument.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,6 +123,8 @@ class DoubleWellParams:
     def __post_init__(self):
         for field_name in ("beta_hat", "sigma_hat", "gamma_hat", "p_exp"):
             v = getattr(self, field_name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"{field_name} must be a number, got {v!r}")
             if not v > 0.0:
                 raise ValueError(f"{field_name} must be positive, got {v}")
         if self.p_exp < 4.0:

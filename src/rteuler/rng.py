@@ -162,8 +162,8 @@ class JumpModel:
     mark_dim: int = 1
 
     def __post_init__(self):
-        if self.intensity < 0.0:
-            raise ValueError("intensity must be >= 0")
+        if not 0.0 <= self.intensity < math.inf:  # NaN fails too
+            raise ValueError(f"intensity must be a finite number >= 0, got {self.intensity}")
 
 
 def normal_marks(intensity: float = 1.0) -> JumpModel:

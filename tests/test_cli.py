@@ -408,3 +408,85 @@ def test_bad_seed_is_config_error_before_any_output(tmp_path, capsys, command, f
     assert main(argv + (["--seed", str(seed)] if flag else [])) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: seed must be an integer >= 0, got {shown}\n"
     assert not out.exists()
+
+
+def _with(doc, dotted, value):
+    """A deep copy of ``doc`` with the dotted key set to ``value``."""
+    doc = section = yaml.safe_load(yaml.safe_dump(doc))
+    *path, key = dotted.split(".")
+    for part in path:
+        section = section.setdefault(part, {})
+    section[key] = value
+    return doc
+
+
+SDDE = {"generator": [[-3.0, 3.0], [3.0, -3.0]], "delay": 0.125}
+
+
+@pytest.mark.parametrize("command, dotted, value", [
+    ("converge", "study.levels", [8.7, 16, 32]),
+    ("converge", "study.num_paths", 20.9),
+    ("converge", "study.reference_n", "64"),
+    ("converge", "workers", 1.9),
+    ("moments", "moments.n_list", [8.5, 16]),
+    ("moments", "moments.num_paths", 10.5),
+    ("simulate", "simulate.n", 16.9),
+    ("simulate", "simulate.sdde.alpha0", 1.5),
+    ("verify", "verify.q_values", [4.5]),
+    ("verify", "verify.p0_values", [2.5]),
+    ("verify", "verify.taming_n", 256.7),
+])
+def test_integer_key_rejects_a_non_integer(tmp_path, capsys, command, dotted, value):
+    doc = dict(SMALL_STUDY, simulate=dict(SMALL_STUDY["simulate"], sdde=SDDE))
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, _with(doc, dotted, value))]
+    assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == EXIT_CONFIG
+    kind = "a list of integers" if isinstance(value, list) else "an integer"
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {dotted} must be {kind}, got {value!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "moments", "verify"])
+@pytest.mark.parametrize("value", [True, "0.5", [0.5]])
+def test_model_param_must_be_a_number(tmp_path, capsys, command, value):
+    doc = _with(SMALL_STUDY, "model.params.beta_hat", value)
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"config error: model.params.beta_hat must be a number, got {value!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("given, message", [
+    ({2: {"beta_hat": True}}, "simulate.sdde.params_by_regime.2.beta_hat must be a number, "
+                              "got True"),
+    ({2: {"gamma_hat": "x"}}, "simulate.sdde.params_by_regime.2.gamma_hat must be a number, "
+                              "got 'x'"),
+    ({2: 5}, "simulate.sdde.params_by_regime.2 must be a mapping, got 5"),
+])
+def test_regime_param_errors_name_their_dotted_key(tmp_path, capsys, given, message):
+    doc = _with(SMALL_STUDY, "simulate.sdde", dict(SDDE, params_by_regime=given))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_model_params_must_be_a_mapping(tmp_path, capsys):
+    doc = _with(SMALL_STUDY, "model.params", 5)
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: model.params must be a mapping, got 5\n"
+
+
+@pytest.mark.parametrize("params", [{"beta_hat": 1}, {"beta_hat": 0.75, "p_exp": 600}])
+def test_int_and_float_model_params_run(tmp_path, params):
+    doc = _with(SMALL_STUDY, "model.params", params)
+    doc = _with(doc, "simulate.sdde", dict(SDDE, params_by_regime={2: params}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_OK
+    assert (out / "trajectory.csv").exists()

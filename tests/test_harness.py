@@ -57,6 +57,14 @@ def test_study_config_validation():
         StudyConfig(error_time="weak")
 
 
+@pytest.mark.parametrize("intensity", [math.nan, math.inf, -1.0])
+def test_bad_jump_intensity_rejected_where_it_enters(intensity):
+    with pytest.raises(ValueError, match="^intensity must be a finite number >= 0"):
+        StudyConfig(intensity=intensity)
+    with pytest.raises(ValueError, match="^intensity must be a finite number >= 0"):
+        rt.normal_marks(intensity)
+
+
 def test_identical_construction_gives_exactly_zero_error(dw_model, jumps_unit):
     draws = [
         rt.make_path_draw(1, i, fine_n=128, m=1, horizon=1.0, levels=[128],

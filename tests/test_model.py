@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,18 @@ def test_params_validation():
         DoubleWellParams(sigma_hat=-1.0)
     with pytest.raises(ValueError):
         DoubleWellParams(p_exp=2.0)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+def test_params_reject_a_boolean_or_non_number(value):
+    message = f"^beta_hat must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        DoubleWellParams(beta_hat=value)
+
+
+def test_params_accept_ints_and_floats():
+    assert DoubleWellParams(beta_hat=1, p_exp=648).beta_hat == 1
+    assert DoubleWellParams(beta_hat=np.float64(0.25)).beta_hat == 0.25
 
 
 def test_double_well_coefficient_values(dw_model):
