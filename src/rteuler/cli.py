@@ -267,33 +267,46 @@ def cmd_simulate(args, config: dict) -> int:
         cfg = SchemeConfig(variant, n, **config["taming"])
     except ValueError as exc:
         raise ConfigError(f"simulate.n is {n}, simulate.variant is {variant!r}: {exc}") from exc
-    out = _out_dir(config)
-
-    draw = make_path_draw(seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,
-                          levels=[n], jump_model=normal_marks(intensity), x0=x0)
 
     sdde = sec["sdde"]
-    try:
-        if sdde:
+    if sdde:  # built and checked before the output directory is made
+        try:
             gen = Generator(np.asarray(sdde["generator"], dtype=float))
             chain = simulate_ctmc(
                 gen, sdde["alpha0"], model.horizon, StreamKey(seed, 0, StreamTag.MARKOV)
             )
-            by_regime, build = {}, partial(build_model, config["model"]["preset"])
-            for regime in range(1, gen.m0 + 1):
-                given = sdde["params_by_regime"].get(regime, {})
-                dotted = f"simulate.sdde.params_by_regime.{regime}"
-                if not isinstance(given, dict):
-                    raise ConfigError(f"{dotted} must be a mapping, got {given!r}")
-                by_regime[regime] = _built(build, {**config["model"]["params"], **given},
-                                           dotted, given)
+            delay = float(sdde["delay"])
             segment = x0 if sdde["initial_segment"] is None else sdde["initial_segment"]
+            segment = np.atleast_1d(np.asarray(segment, dtype=float))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if not delay >= 0.0:
+            raise ConfigError(f"simulate.sdde.delay must be >= 0, got {sdde['delay']!r}")
+        regimes = range(1, gen.m0 + 1)
+        for key in sdde["params_by_regime"]:
+            if type(key) is not int or key not in regimes:  # not a bool, a float or a str
+                raise ConfigError(f"simulate.sdde.params_by_regime.{key!r} is not a regime "
+                                  f"1..{gen.m0} of simulate.sdde.generator")
+        by_regime, build = {}, partial(build_model, config["model"]["preset"])
+        for regime in regimes:
+            given = sdde["params_by_regime"].get(regime, {})
+            dotted = f"simulate.sdde.params_by_regime.{regime}"
+            if not isinstance(given, dict):
+                raise ConfigError(f"{dotted} must be a mapping, got {given!r}")
+            by_regime[regime] = _built(build, {**config["model"]["params"], **given},
+                                       dotted, given)
+    out = _out_dir(config)
+
+    draw = make_path_draw(seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,
+                          levels=[n], jump_model=normal_marks(intensity), x0=x0)
+    try:
+        if sdde:
             traj = simulate_sdde_switching(
                 by_regime,
                 cfg,
                 draw,
-                delay=float(sdde["delay"]),
-                initial_segment=np.atleast_1d(np.asarray(segment, dtype=float)),
+                delay=delay,
+                initial_segment=segment,
                 chain=chain,
                 intensity=intensity,
             )

@@ -487,10 +487,13 @@ def taming_gap_probe(
             gaps = [(mu * shrink) ** p0, (sig_norm * shrink) ** p0]
             if jump_model is not None:
                 pick = (first + np.arange(lo, lo + w)) % stride == 0
-                st = np.broadcast_to(t[..., 0], pick.shape)[pick]
-                # (pairs, marks, d)
-                gam = model.jump(st[:, None, None], x[pick][:, None, :], marks[None, :, :], None)
-                ez = np.mean(np.linalg.norm(gam, axis=-1) ** p0, axis=1)  # per-pair expectation
+                st, xs = np.broadcast_to(t[..., 0], pick.shape)[pick], x[pick]
+                ez = np.empty(len(st))  # per-pair expectation, a slice of pairs at a time
+                span = GAP_MAX_PAIRS // GAP_MARK_SAMPLE
+                for part in (slice(a, a + span) for a in range(0, len(st), span)):
+                    # (pairs, marks, d)
+                    gam = model.jump(st[part, None, None], xs[part, None, :], marks[None], None)
+                    ez[part] = np.mean(np.linalg.norm(gam, axis=-1) ** p0, axis=1)
                 gaps.append(intensity * ez * shrink[pick] ** p0)
             for j, gap in enumerate(gaps):
                 sums[:, j] += np.nansum(gap), np.count_nonzero(~np.isnan(gap))

@@ -112,37 +112,43 @@ class BatchResult:
 
 
 def _arm(coeffs: CoefficientSet, tcfg: TamingConfig | None, intensity: float) -> tuple:
-    """What a step needs of one coefficient set: (coeffs, tcfg, compensate)."""
+    """What a step needs of one coefficient set: (coeffs, tame, compensate),
+    with ``tame`` the taming's (scale n^(-n_power), x_power), None when untamed."""
     compensate = intensity > 0.0 and not coeffs.zero_mean_jump
     if compensate and coeffs.jump_compensator_mean is None:
         raise ValueError("compensator mean required for non-zero-mean jump models")
-    return coeffs, tcfg, compensate
+    tame = None if tcfg is None else (float(tcfg.n) ** -tcfg.n_power, tcfg.x_power)
+    return coeffs, tame, compensate
 
 
 def _cell(x, t_left, t_drift, dt, dW, arm, env, intensity, jumps):
     """Advance every row of ``x`` (B, d) over one cell: the scheme's map.
 
-    ``arm`` comes from ``_arm`` (``tcfg`` None when untamed); ``dW`` is
-    (B, m); ``jumps`` is None or the (rows, marks) of the cell's jump events
-    in time order. Each tamed term is divided by the step's one denominator,
-    in the order ``(f / D) * dt``.
+    ``arm`` comes from ``_arm``; ``dW`` is (B, m); ``jumps`` is None or the
+    (rows, marks) of the cell's jump events in time order. Each tamed term is
+    divided by the step's one denominator, in the order ``(f / D) * dt``. With
+    one noise dimension the diffusion term is the product itself; the ``0.0 +``
+    turns a -0.0 into +0.0 as the einsum's sum, which starts from +0.0, does.
     """
-    coeffs, tcfg, compensate = arm
+    coeffs, tame, compensate = arm
     drift = coeffs.drift(t_drift, x, env)
     sig = coeffs.diffusion(t_left, x, env)
-    if tcfg is not None:
-        den = taming.denominator(tcfg, x)[:, None]
+    if tame is not None:
+        den = taming._denominator(*tame, x)  # (B, 1)
         drift = drift / den
         sig = sig / den[..., None]
     out = x + drift * dt
-    out = out + np.einsum("...dm,...m->...d", sig, dW)
+    if sig.shape[-1] == 1:
+        out = out + (0.0 + sig[..., 0] * dW)
+    else:
+        out = out + np.einsum("...dm,...m->...d", sig, dW)
     if compensate:
         comp = coeffs.jump_compensator_mean(t_left, x, env)
-        out = out - intensity * dt * (comp if tcfg is None else comp / den)
+        out = out - intensity * dt * (comp if tame is None else comp / den)
     if jumps is not None:
         rows, marks = jumps
         gam = coeffs.jump(t_left, x[rows], marks, env)
-        np.add.at(out, rows, gam if tcfg is None else gam / den[rows])
+        np.add.at(out, rows, gam if tame is None else gam / den[rows])
     return out
 
 
@@ -253,7 +259,7 @@ def _run(
                                              "in (0, 1]")
                         # each cell's drift time, written into phi's buffer
                         t_drift = grid.xis(phi[..., None], w_lo, out=phi[..., None])
-                t_left = grid.point(k - 1)
+                t_left = ((k - 1) * grid.horizon) / n  # grid.point(k - 1)
                 key, env = step_env(k, states)
                 x = _cell(x, t_left, t_drift[k - 1 - w_lo] if randomized else t_left, dt,
                           dW[k - 1 - w_lo], arms[key], env, intensity, cell_jumps.get(k))

@@ -37,22 +37,28 @@ class TamingConfig:
             raise ValueError("x_power must be >= 0")
 
 
-def _norm_power(x: np.ndarray, power: float) -> np.ndarray:
-    """|x|^power along the last axis via exp(power*log|x|), with 0 at x = 0.
+def _denominator(scale: float, power: float, x: np.ndarray) -> np.ndarray:
+    """1 + scale * |x|^power over x's last axis, which stays as a length-1 axis.
 
-    The log form keeps precision for large powers and avoids pow-of-negative
-    pitfalls; the zero branch makes the denominator exactly 1 at the origin.
-    The norm is the Euclidean one, summed as ``np.linalg.norm`` sums it.
+    |x|^power is exp(power*log|x|), which keeps precision for large powers. For
+    power > 0 it is exactly 0 at x = 0, since exp(-inf) = 0, so the denominator
+    is exactly 1 at the origin and NaN at a NaN state. The norm sums as
+    ``np.linalg.norm`` does. There is no ``np.errstate`` here: the caller holds
+    one, as the stepping kernel does around its whole loop.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.sqrt(np.add.reduce(x * x, axis=-1))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.where(r > 0.0, np.exp(power * np.log(r)), 0.0)
+    r = np.sqrt(x * x if x.shape[-1] == 1 else np.add.reduce(x * x, axis=-1, keepdims=True))
+    if power > 0.0:
+        return 1.0 + scale * np.exp(power * np.log(r))
+    return 1.0 + scale * np.where(r > 0.0, np.exp(power * np.log(r)), 0.0)
 
 
 def denominator(cfg: TamingConfig, x: np.ndarray) -> np.ndarray:
-    """Taming denominator D_n(x) >= 1, shaped like x without its last axis."""
-    return 1.0 + float(cfg.n) ** (-cfg.n_power) * _norm_power(x, cfg.x_power)
+    """Taming denominator D_n(x) >= 1, shaped like x without its last axis (a
+    numpy scalar for one state, with a batch row's bits); NaN where x holds a
+    NaN and x_power > 0."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _denominator(float(cfg.n) ** -cfg.n_power, cfg.x_power, x)[..., 0][()]
 
 
 def tame(coeffs: CoefficientSet, cfg: TamingConfig) -> CoefficientSet:

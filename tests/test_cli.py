@@ -490,3 +490,41 @@ def test_int_and_float_model_params_run(tmp_path, params):
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
         == EXIT_OK
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("given, key", [
+    ({"2": {"beta_hat": 5.0}}, "'2'"),  # a quoted key: a string, not regime 2
+    ({3: {"beta_hat": 5.0}}, "3"),  # the generator has regimes 1 and 2 only
+    ({0: {}}, "0"),
+    ({2.0: {}}, "2.0"),
+])
+def test_regime_params_of_no_regime_are_config_errors(tmp_path, capsys, given, key):
+    doc = _with(SMALL_STUDY, "simulate.sdde", dict(SDDE, params_by_regime=given))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: simulate.sdde.params_by_regime.{key} "
+                                       "is not a regime 1..2 of simulate.sdde.generator\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sdde, message", [
+    (dict(SDDE, params_by_regime={2: {"beta_hat": True}}),
+     "simulate.sdde.params_by_regime.2.beta_hat must be a number, got True"),
+    (dict(SDDE, params_by_regime={2: 5}),
+     "simulate.sdde.params_by_regime.2 must be a mapping, got 5"),
+    (dict(SDDE, delay=-0.125), "simulate.sdde.delay must be >= 0, got -0.125"),
+    (dict(SDDE, alpha0=3), None),
+    (dict(SDDE, generator=[[-3.0, 2.0], [3.0, -3.0]]), None),
+    (dict(SDDE, initial_segment="low"), None),
+])
+def test_sdde_config_errors_leave_no_output_directory(tmp_path, capsys, sdde, message):
+    doc = _with(SMALL_STUDY, "simulate.sdde", sdde)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if message is not None:
+        assert err == f"config error: {message}\n"
+    assert not out.exists()

@@ -88,3 +88,18 @@ def test_gap_probe_peak_stays_below_one_whole_run_mark_array(dw_model):
     finally:
         tracemalloc.stop()
     assert peak < bound, f"traced peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def test_gap_probe_peak_when_every_pair_is_picked(dw_model):
+    # at n 64..256 the jump stride is 1, so every (path, left point) pair of a
+    # chunk is picked: its marks, evaluated all at once, peaked at 114 MB here;
+    # in slices of GAP_MAX_PAIRS // GAP_MARK_SAMPLE pairs the probe peaks near 20 MB
+    taming_gap_probe(dw_model, "randomized_tamed", [4, 8], 2.0, 2, jump_model=rt.normal_marks(1.0))
+    tracemalloc.start()
+    try:
+        taming_gap_probe(dw_model, "randomized_tamed", [2**k for k in range(6, 13)], 2.0, 200,
+                         x0=2.0, jump_model=rt.normal_marks(1.0), base_seed=11)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, f"traced peak {peak / 1e6:.1f} MB, bound 40 MB"
