@@ -248,13 +248,19 @@ def cmd_converge(args, config: dict) -> int:
 def _write_trajectory_csv(path: Path, traj) -> None:
     d = traj.states.shape[1]
     header = ["t"] + [f"x_{i+1}" for i in range(d)]
-    columns = [traj.grid.points().tolist()] + traj.states.T.tolist()
-    fmt = ",".join(["{:.17g}"] * (d + 1))
+    columns = [traj.grid.points()[:, None], traj.states]
+    fmt = ",".join(["%.17g"] * (d + 1))  # the bytes of "{:.17g}".format
     if traj.regimes is not None:
         header.append("regime")
-        columns.append(traj.regimes.tolist())
-        fmt += ",{}"
-    lines = [",".join(header)] + [fmt.format(*row) for row in zip(*columns)]
+        columns.append(traj.regimes[:, None])
+        fmt += ",%d"
+    width = len(header)
+    values = np.hstack(columns).ravel().tolist()  # regimes as exact floats, %d prints them
+    step = 1024 * width  # the values of the rows formatted with one %
+    lines = [",".join(header)] + [
+        "\n".join([fmt] * (len(part) // width)) % tuple(part)
+        for part in (values[lo : lo + step] for lo in range(0, len(values), step))
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 

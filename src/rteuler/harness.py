@@ -17,6 +17,7 @@ under any worker count.
 from __future__ import annotations
 
 import math
+import pickle
 from concurrent import futures
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -24,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .grid import TimeGrid
-from .model import CoefficientSet, build_model
+from .model import _MODEL_REGISTRY, CoefficientSet, build_model, register_model
 from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
 from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
@@ -187,19 +188,21 @@ def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, 
                            horizon=model.horizon, jump_model=jump_model, x0=x0, coarse=levels)
 
 
-def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None) -> list:
+def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None,
+                **pool) -> list:
     """``fn(paths)`` for each block of ``block_size`` path indices, in block order.
 
-    With ``workers > 1`` the blocks run in a process pool (``fn`` must then
-    pickle); the results come back in block order all the same.
+    With ``workers > 1`` the blocks run in a process pool made with the
+    keywords ``pool`` (``fn`` must then pickle); the results come back in
+    block order all the same.
     """
     say = say or (lambda _msg: None)
     blocks = [range(s, min(s + block_size, num_paths)) for s in range(0, num_paths, block_size)]
     say(f"simulating {num_paths} paths in {len(blocks)} blocks")
     workers = min(workers, len(blocks))  # a pool starts all its workers up front
     if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, blocks))
+        with futures.ProcessPoolExecutor(max_workers=workers, **pool) as executor:
+            return list(executor.map(fn, blocks))
     results = []
     for paths in blocks:
         results.append(fn(paths))
@@ -266,11 +269,20 @@ def strong_error_study(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    block_size = min(STUDY_BLOCK_SIZE, -(-cfg.num_paths // workers))
-    results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, block_size,
-                          workers, progress)
-    ref_diverged = np.concatenate([r["ref_diverged"] for r in results])
     horizon = build_model(cfg.model, cfg.model_params).horizon
+    # a worker started by spawn or forkserver knows only the built-in presets,
+    # so each is handed the model's factory
+    factory = _MODEL_REGISTRY[cfg.model]
+    if workers > 1:
+        try:
+            pickle.dumps(factory)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(f"model {cfg.model!r} cannot run with workers > 1: its factory "
+                             f"does not pickle ({exc}); register a module-level function") from exc
+    block_size = min(STUDY_BLOCK_SIZE, -(-cfg.num_paths // workers))
+    results = _map_blocks(partial(_study_block, cfg), cfg.num_paths, block_size, workers,
+                          progress, initializer=register_model, initargs=(cfg.model, factory))
+    ref_diverged = np.concatenate([r["ref_diverged"] for r in results])
     reports = []
     for variant in cfg.variants:
         errs = np.concatenate([r[variant] for r in results], axis=0)  # (M, L)

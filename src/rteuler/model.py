@@ -101,9 +101,7 @@ def scalar_model(
 
 def sawtooth(s):
     """1-periodic sawtooth 2*(s - floor(s + 1/2)) with range (-1, 1]."""
-    s = np.asarray(s, dtype=float)
-    out = 2.0 * (s - np.floor(s + 0.5))
-    return out if out.ndim else float(out)
+    return 2.0 * (s - np.floor(s + 0.5))
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,8 @@ def build_model(name: str, params: dict | None = None) -> CoefficientSet:
     return _MODEL_REGISTRY[name](**(params or {}))
 
 
-register_model(
-    "double-well",
-    lambda **kw: double_well_model(DoubleWellParams(**kw) if kw else None),
-)
+def _double_well(**kw) -> CoefficientSet:  # module-level, so worker processes can unpickle it
+    return double_well_model(DoubleWellParams(**kw) if kw else None)
+
+
+register_model("double-well", _double_well)

@@ -207,7 +207,7 @@ class PathDraw:
 
 
 WINDOW = 1024  # most cells per window of a block's draws; a multiple of 4 and of scheme.CHUNK
-WINDOW_DRAWS = 1 << 20  # most draws (cells x rows) per window: 8 MB of float64
+WINDOW_DRAWS = 1 << 18  # most draws (cells x rows) per window: 2 MB of float64
 ROWS = 64  # rows drawn path-major at a time, then copied into a time-major window
 
 
@@ -222,25 +222,32 @@ def _window(rows: int) -> int:
 
 class _Randomizers:
     """A block's drift randomizers, for any level, filled from the level's
-    stream keys when read. ``random()`` takes one Philox word per double and
-    Philox makes four words per counter, so the columns from a multiple of 4
-    on start at counter ``lo // 4``: a window needs no state from the one
-    before it."""
+    stream keys when read. A read of a level keys its rows' generators once
+    and carries them from one window to the next, dropping them after the
+    last. ``random()`` takes one Philox word per double and Philox makes four
+    words per counter, so a read that does not continue the previous window
+    starts its generators at counter ``lo // 4``."""
 
-    def __init__(self, base_seed: int, paths: range, stream):
-        self._seed, self._paths, self._stream = base_seed, paths, stream
+    def __init__(self, base_seed: int, paths: range):
+        self._seed, self._paths = base_seed, paths
+        self._next, self._gens = None, []  # (level, lo) the carried generators continue at
 
     def window(self, n: int, lo: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (w, B) with level n's randomizers of cells lo..lo+w-1
         (lo a multiple of 4), time-major."""
         (w, B), paths = out.shape, self._paths
-        keys = _philox_keys(self._seed, (paths, [StreamTag.RANDOMIZER] * B, [n] * B))
-        rows = np.empty((min(ROWS, B), w))
+        if self._next != (n, lo):
+            keys = _philox_keys(self._seed, (paths, [StreamTag.RANDOMIZER] * B, [n] * B))
+            self._gens = [np.random.Generator(np.random.Philox(_Key(key), counter=lo // 4))
+                          for key in keys]
+        gens, rows = self._gens, np.empty((min(ROWS, B), w))
         for r in range(0, B, ROWS):
             part = rows[: min(ROWS, B - r)]
-            for i, key in enumerate(keys[r : r + ROWS]):
-                part[i] = uniform_open_closed(self._stream(key, lo // 4), w)
+            for gen, row in zip(gens[r : r + ROWS], part):
+                gen.random(out=row)
+            np.subtract(1.0, part, out=part)  # uniform_open_closed
             out[:, r : r + len(part)] = part.T
+        self._next, self._gens = ((n, lo + w), gens) if lo + w < n else (None, [])
         return out
 
     def __getitem__(self, n: int) -> np.ndarray:
@@ -260,6 +267,25 @@ class _Key(ISeedSequence):
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         return self.key
+
+
+def _coarse_sums(part: np.ndarray, f: int) -> np.ndarray:
+    """``part.reshape(R, W // f, f, m).sum(axis=2)`` of ``part`` (R, W, m),
+    bit for bit. At m = 1 and f <= 8 it adds the f strided columns in the
+    order of numpy's pairwise sum, which is faster for so short a sum:
+    sequential below 8 terms, eight accumulators combined pairwise at 8, and
+    the reduction's +0.0 identity added last."""
+    if part.shape[2] != 1 or not 2 <= f <= 8:
+        return part.reshape(len(part), part.shape[1] // f, f, part.shape[2]).sum(axis=2)
+    t = [part[:, j::f] for j in range(f)]
+    if f < 8:
+        s = t[0] + t[1]
+        for a in t[2:]:
+            s += a
+    else:
+        s = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    s += 0.0
+    return s
 
 
 def _check_level(n: int, fine_n: int):
@@ -299,13 +325,15 @@ class _Brownian:
                 rows = slice(r, min(r + R, B))
                 if fine is None:
                     part = drawn[: rows.stop - r, : hi - lo]
-                    for i, gen in enumerate(gens[rows]):
-                        part[i] = gen.normal(0.0, self._sd, size=(hi - lo, m))
+                    for gen, row in zip(gens[rows], part):
+                        gen.standard_normal(out=row)
+                    # normal(0.0, sd)'s own loc + scale * z
+                    np.multiply(part, self._sd, out=part)
+                    np.add(part, 0.0, out=part)
                 else:
                     part = fine[rows, lo:hi]
                 for n, f in todo.items():
-                    coarse = part.reshape(len(part), (hi - lo) // f, f, m).sum(axis=2)
-                    sums[n][lo // f : hi // f, rows] = coarse.transpose(1, 0, 2)
+                    sums[n][lo // f : hi // f, rows] = _coarse_sums(part, f).transpose(1, 0, 2)
                 buf[: hi - lo, rows] = part.transpose(1, 0, 2)
             if hi == fine_n:  # a reader may stop at the last window
                 self._coarse.update(sums)
@@ -376,12 +404,13 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     """The draws of the path indices ``paths`` as one block; row b is bit for
     bit ``make_path_draw(base_seed, paths[b], ...)``, at every level.
 
-    The keys come from one ``_philox_keys`` call; one Philox generator is
-    reset to each in turn, the state of a fresh ``StreamKey(...).generator()``.
-    So the generator passed to ``jump_model.mark_sampler`` or to a callable
-    ``x0`` is valid only during that call. Brownian increments are drawn a
-    window at a time and randomizers filled, at any level, when read; the
-    levels ``coarse`` are summed from the fine windows as they are drawn.
+    The Brownian, jump and init keys come from one ``_philox_keys`` call; one
+    Philox generator is reset to each jump and init key in turn, the state of
+    a fresh ``StreamKey(...).generator()``. So the generator passed to
+    ``jump_model.mark_sampler`` or to a callable ``x0`` is valid only during
+    that call. Brownian increments are drawn a window at a time and
+    randomizers filled, at any level, when read; the levels ``coarse`` are
+    summed from the fine windows as they are drawn.
     """
     if fine_n < 1:
         raise ValueError("fine_n must be >= 1")
@@ -397,9 +426,8 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     gen = np.random.Generator(np.random.Philox(0))
     fresh = gen.bit_generator.state  # counter 0, buffer_pos 4 (empty), has_uint32 0, uinteger 0
 
-    def stream(key, counter=0):  # the generator, in a fresh one's state under ``key``
+    def stream(key):  # the generator, in a fresh one's state under ``key``
         fresh["state"]["key"] = key
-        fresh["state"]["counter"][0] = counter
         gen.bit_generator.state = fresh
         return gen
 
@@ -416,7 +444,7 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     return BlockDraw(brownian=brownian, jump_times=np.concatenate(times),
                      jump_rows=np.repeat(np.arange(len(path_jumps)), [len(t) for t in times[1:]]),
                      jump_marks=np.concatenate(marks),
-                     phis=_Randomizers(base_seed, paths, stream),
+                     phis=_Randomizers(base_seed, paths),
                      x0=np.stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in x0s]))
 
 

@@ -528,3 +528,27 @@ def test_sdde_config_errors_leave_no_output_directory(tmp_path, capsys, sdde, me
     if message is not None:
         assert err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d, regimes", [(1, False), (2, True)])
+def test_trajectory_csv_has_the_bytes_of_per_row_formatting(tmp_path, d, regimes):
+    from rteuler.cli import _write_trajectory_csv
+    from rteuler.scheme import Trajectory
+
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300, -1e300, 0.1,
+               1.0 / 3.0, 2.0**-1074 * 3]
+    n = 2500  # three chunks of formatted rows, the last one short
+    states = np.resize(np.array(special), (n + 1) * d).reshape(n + 1, d)
+    states[len(special):] *= np.random.default_rng(3).normal(size=(n + 1 - len(special), d))
+    labels = np.arange(n + 1) % 3 + 1 if regimes else None
+    traj = Trajectory(grid=rt.TimeGrid(n, 1.5), states=states, regimes=labels)
+    _write_trajectory_csv(tmp_path / "t.csv", traj)
+    columns = [traj.grid.points().tolist()] + states.T.tolist()
+    fmt = ",".join(["{:.17g}"] * (d + 1))
+    header = ["t"] + [f"x_{i+1}" for i in range(d)]
+    if regimes:
+        header.append("regime")
+        columns.append(labels.tolist())
+        fmt += ",{}"
+    want = [",".join(header)] + [fmt.format(*row) for row in zip(*columns)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"

@@ -132,3 +132,12 @@ def test_coefficient_set_validation():
         )
     with pytest.raises(ValueError):
         rt.scalar_model(lambda t, x: x, zeta=-1.0)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_sawtooth_gives_the_same_bits_for_floats_and_arrays(s):
+    with np.errstate(invalid="ignore"):
+        ref = 2.0 * (np.asarray(s) - np.floor(np.asarray(s) + 0.5))
+        got, row = sawtooth(s), sawtooth(np.array([s, s]))
+    assert np.array_equal(np.float64(got).view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(row.view(np.uint64), np.full(2, ref).view(np.uint64))
