@@ -172,8 +172,16 @@ def _built(factory, params: dict, dotted: str, given: dict | None = None):
 
 
 def _model(config: dict):
+    """The config's model; ``model.x0`` must be a number, or for a d-dimensional
+    state a list of d numbers."""
     model = config["model"]
-    return _built(partial(build_model, model["preset"]), model["params"], "model.params")
+    built = _built(partial(build_model, model["preset"]), model["params"], "model.params")
+    x0, d = model["x0"], built.dim_state
+    values = x0 if isinstance(x0, list) else [x0]
+    if len(values) != d or not all(isinstance(v, (int, float)) for v in values):
+        want = "a number" if d == 1 else f"a list of {d} numbers"
+        raise ConfigError(f"model.x0 must be {want}, got {x0!r}")
+    return built
 
 
 def _study_config(config: dict) -> StudyConfig:
@@ -216,8 +224,11 @@ def cmd_converge(args, config: dict) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}")
     out = _out_dir(config)
-    reports = harness.strong_error_study(cfg, workers=workers,
-                                         progress=partial(print, file=sys.stderr))
+    try:  # a model whose factory cannot reach the workers is refused before any path runs
+        reports = harness.strong_error_study(cfg, workers=workers,
+                                             progress=partial(print, file=sys.stderr))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     status = EXIT_OK
     for i, report in enumerate(reports):
@@ -360,7 +371,8 @@ def cmd_verify(args, config: dict) -> int:
         f"growth probe                  drift K={growth.drift_constant:.6g}, "
         f"diffusion K={growth.diffusion_constant:.6g} on |x|<={growth.box[1]:g}"
     )
-    emp = cons.check_double_well_monotonicity_empirical(dw)
+    emp = cons.check_double_well_monotonicity_empirical(
+        dw, intensity=float(config["jumps"]["intensity"]))
     lines.append(
         f"one-sided Lipschitz (sampled) fitted C={emp.fitted_constant:.6g}, "
         f"cubic sign violations={emp.cubic_sign_violations}"
@@ -444,11 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    missing = []  # the output directory and its parents that do not exist yet, deepest first
     try:
         config = load_config(args.config)
         _apply_flags(config, args)
+        if "out" in FLAGS[args.command]:
+            out = Path(config["out"])
+            missing = [path for path in (out, *out.parents) if not path.exists()]
         return args.func(args, config)
     except ConfigError as exc:
+        for path in missing:  # a config error leaves no directory this run made
+            try:
+                path.rmdir()  # only an empty one
+            except OSError:
+                pass
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,7 +7,7 @@ while the drift randomizers are independent per level. Errors are reported as
 (E|x_ref - x_n|^p)^(1/p) at the terminal time (or the max over the coarse
 grid), with batch-means standard errors.
 
-Every Monte Carlo driver builds its draws with ``_draws``. Paths are
+Every Monte Carlo driver builds its draws with ``make_block_draw``. Paths are
 processed in blocks of a fixed size (``STUDY_BLOCK_SIZE``, ``MOMENT_BLOCK_SIZE``)
 by path index, scheduled by ``_map_blocks``; blocks are the unit of
 parallelism and results are reduced in block order, so output is byte-stable
@@ -179,15 +179,6 @@ class ErrorReport:
         }
 
 
-def _draws(model: CoefficientSet, jump_model: JumpModel | None, base_seed: int, x0,
-           paths: range, fine_n: int, levels) -> BlockDraw:
-    """The coupled draws of the path indices ``paths`` as one block: increments
-    and jumps at ``fine_n`` steps, drift randomizers at any level. The
-    increments of ``levels`` are summed while the ``fine_n`` level runs."""
-    return make_block_draw(base_seed, paths, fine_n=fine_n, m=model.dim_noise,
-                           horizon=model.horizon, jump_model=jump_model, x0=x0, coarse=levels)
-
-
 def _map_blocks(fn, num_paths: int, block_size: int, workers: int = 1, say=None,
                 **pool) -> list:
     """``fn(paths)`` for each block of ``block_size`` path indices, in block order.
@@ -214,7 +205,9 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     """Per-path error values for ``paths``; pure in (cfg, paths)."""
     model = build_model(cfg.model, cfg.model_params)
     jump_model = normal_marks(cfg.intensity) if cfg.intensity > 0.0 else None
-    draws = _draws(model, jump_model, cfg.base_seed, cfg.x0, paths, cfg.reference_n, cfg.levels)
+    draws = make_block_draw(cfg.base_seed, paths, fine_n=cfg.reference_n, m=model.dim_noise,
+                            horizon=model.horizon, jump_model=jump_model, x0=cfg.x0,
+                            coarse=cfg.levels)
     tame = dict(n_power=cfg.taming_n_power, x_power=cfg.taming_x_power)
     factors = [cfg.reference_n // n for n in cfg.levels]
     # the reference keeps only the points the errors read: the terminal one, or
@@ -340,23 +333,20 @@ class MomentTable:
         return max(vals) / min(vals)
 
 
-def _add_chunk(q: float, sums: np.ndarray, bad: np.ndarray, lo: int, chunk: np.ndarray):
+def _add_chunk(q: float, sums: np.ndarray, lo: int, chunk: np.ndarray):
     """Add the sums over paths of |x_k|^q of ``chunk``, the (B, w, d) states of
-    grid points lo..lo+w-1, into ``sums`` (n+1,), and flag the points with a
-    non-finite state in ``bad`` (n+1,).
+    grid points lo..lo+w-1, into ``sums`` (n+1,); a non-finite state makes its
+    point's sum non-finite.
 
     Grid points are independent and each one's sum over paths keeps its row
     order, so over ``_chunks`` the bits equal one whole-array reduction. No
     chunk may be one column wide: numpy sums a single column pairwise rather
     than row by row, which changes the bits.
     """
-    hi = lo + chunk.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(chunk, axis=-1)  # (B, hi-lo)
-        finite = np.isfinite(norms)
-        powered = np.where(finite, norms, 0.0) ** q
-    sums[lo:hi] += powered.sum(axis=0)
-    bad[lo:hi] |= ~finite.all(axis=0)
+        powered = np.linalg.norm(chunk, axis=-1)  # (B, w)
+        powered **= q  # in place, which keeps one (B, w) array fewer live
+    sums[lo : lo + chunk.shape[1]] += powered.sum(axis=0)
 
 
 def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x0,
@@ -377,7 +367,8 @@ def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x
 
     def run_block(paths: range) -> dict:
         # the block's draws die when this returns, before the next block's are built
-        draws = _draws(model, jump_model, base_seed, x0, paths, fine, n_list)
+        draws = make_block_draw(base_seed, paths, fine_n=fine, m=model.dim_noise,
+                                horizon=model.horizon, jump_model=jump_model, x0=x0, coarse=n_list)
         return {n: level(paths, draws, cfgs[n], intensity)
                 for n in sorted(n_list, key=lambda n: n != fine)}
 
@@ -400,18 +391,19 @@ def moment_probe(
     """Empirical sup over the grid of the q-th moment, per step count.
 
     A bounded, n-stable profile is the expected signature of a tamed scheme;
-    blow-up shows as +inf rows (any non-finite path state makes the empirical
-    moment infinite, and the diverged fraction is reported alongside).
+    blow-up shows as +inf rows: a level where the kernel flags any path as
+    diverged has an infinite empirical moment, and the diverged fraction is
+    reported alongside.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
 
     def level(_paths: range, draws: BlockDraw, cfg, intensity: float) -> tuple:
         # the kernel reduces each chunk of states as it is stepped
-        sums, bad = np.zeros(cfg.n + 1), np.zeros(cfg.n + 1, dtype=bool)
+        sums = np.zeros(cfg.n + 1)
         res = simulate_paths(model, cfg, draws, intensity, keep=slice(0),
-                             on_chunk=partial(_add_chunk, q, sums, bad))
-        return sums, bad, int(res.diverged.sum())
+                             on_chunk=partial(_add_chunk, q, sums))
+        return sums, int(res.diverged.sum())
 
     n_list, blocks = _probe(level, model, variant, n_list, num_paths, x0, jump_model, base_seed,
                             n_power=taming_n_power, x_power=taming_x_power)
@@ -420,16 +412,10 @@ def moment_probe(
         # each block's sums start from zeros, so adding them in block order
         # makes the same float operations as accumulating into one array
         sums = sum((b[n][0] for b in blocks), np.zeros(n + 1))
-        per_point = sums / num_paths
-        per_point = np.where(np.any([b[n][1] for b in blocks], axis=0), np.inf, per_point)
-        rows.append(
-            MomentRow(
-                n=n,
-                dt=model.horizon / n,
-                sup_moment=float(per_point.max()),
-                diverged_frac=sum(b[n][2] for b in blocks) / num_paths,
-            )
-        )
+        diverged = sum(b[n][1] for b in blocks)
+        rows.append(MomentRow(n, model.horizon / n,
+                              math.inf if diverged else float((sums / num_paths).max()),
+                              diverged / num_paths))
     return MomentTable(rows=rows)
 
 

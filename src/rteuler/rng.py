@@ -254,9 +254,6 @@ class _Randomizers:
         """Level n's randomizers, (B, n): a new array on every read."""
         return self.window(n, 0, np.empty((n, len(self._paths)))).T
 
-    def __contains__(self, n) -> bool:
-        return True
-
 
 class _Key(ISeedSequence):
     """A Philox key already derived, as a seed: ``Philox(_Key(key))`` is
@@ -370,15 +367,20 @@ class BlockDraw:
 
     @classmethod
     def stack(cls, draws: list[PathDraw]) -> BlockDraw:
-        """The block of ``draws``, with the randomizer levels they all have."""
+        """The block of ``draws``, with the randomizer levels they all have,
+        each checked to lie in (0, 1]."""
         d0 = draws[0]
+        phis = {n: np.stack([d.phis[n] for d in draws])
+                for n in d0.phis if all(n in d.phis for d in draws)}
+        for n, phi in phis.items():
+            if not (phi.min() > 0.0 and phi.max() <= 1.0):  # NaN fails both
+                raise ValueError(f"randomizers (phis) for level n={n} must lie in (0, 1]")
         return cls(
             brownian=_Brownian(d0.fine_n, d0.m, fine=np.stack([d.fine_increments for d in draws])),
             jump_times=np.concatenate([d.jump_times for d in draws]),
             jump_rows=np.repeat(np.arange(len(draws)), [len(d.jump_times) for d in draws]),
             jump_marks=np.concatenate([d.jump_marks for d in draws]),
-            phis={n: np.stack([d.phis[n] for d in draws])
-                  for n in d0.phis if all(n in d.phis for d in draws)},
+            phis=phis,
             x0=np.stack([d.x0 for d in draws]),
         )
 
@@ -387,12 +389,15 @@ class BlockDraw:
         (w, B, m) and, when ``randomized``, the drift randomizers (w, B) of
         cells lo..lo+w-1, both C-contiguous (time-major) and each in a buffer
         that the next window refills."""
+        keyed = isinstance(self.phis, _Randomizers)  # any level, (0, 1] by construction
+        if randomized and not keyed and n not in self.phis:
+            raise ValueError(f"draws lack randomizers (phis) for level n={n}")
         buf = phi = None
         for lo, dW in self.brownian.windows(n):
             if randomized:
                 buf = np.empty(dW.shape[:2]) if buf is None else buf
                 phi = buf[: len(dW)]
-                if isinstance(self.phis, _Randomizers):
+                if keyed:
                     self.phis.window(n, lo, phi)
                 else:
                     phi[...] = self.phis[n][:, lo : lo + len(dW)].T

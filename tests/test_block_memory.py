@@ -15,11 +15,11 @@ from rteuler.harness import _add_chunk, moment_probe
 from rteuler.scheme import CHUNK as MOMENT_CHUNK, _chunks
 
 
-def _add_moments(res: BatchResult, q: float, sums: np.ndarray, bad: np.ndarray) -> int:
+def _add_moments(res: BatchResult, q: float, sums: np.ndarray) -> int:
     """``_add_chunk`` over the chunks of ``res.states`` (all points); returns
     the number of diverged paths."""
     for lo, hi in _chunks(res.states.shape[1] - 1):
-        _add_chunk(q, sums, bad, lo, res.states[:, lo:hi])
+        _add_chunk(q, sums, lo, res.states[:, lo:hi])
     return int(res.diverged.sum())
 
 
@@ -69,11 +69,11 @@ def test_add_moments_equals_whole_array_reduction_bit_for_bit():
                 states[1, n // 2 :] = np.inf
                 states[B - 1, -1, 0] = np.nan
             res = BatchResult(states=states, diverged_at=np.full(B, -1))
-            sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
-            _add_moments(res, 4.0, sums, bad)
+            sums = np.zeros(n + 1)
+            _add_moments(res, 4.0, sums)
             want_sums, want_bad = _whole_array_sums(states, 4.0)
-            assert np.array_equal(sums, want_sums)
-            assert np.array_equal(bad, want_bad)
+            assert np.array_equal(sums[~want_bad], want_sums[~want_bad])
+            assert not np.isfinite(sums[want_bad]).any()
 
 
 def test_moment_probe_equals_whole_array_reduction(dw_model, jumps_unit, monkeypatch):
@@ -98,6 +98,33 @@ def test_moment_probe_equals_whole_array_reduction_when_diverging(dw_model, jump
     want = _whole_array_probe(dw_model, "classical", n_list, 4.0, 20, 9.0, jumps_unit, 5, 8)
     assert [(r.sup_moment, r.diverged_frac) for r in got.rows] == want
     assert [r.sup_moment == np.inf for r in got.rows] == [True, True, False]
+
+
+def test_moment_probe_inf_rows_are_the_levels_the_kernel_flags(jumps_unit, monkeypatch):
+    # classical Euler on dx = -x^3 dt from x0 = 10 blows up at n = 16 only;
+    # n = 256 spans several chunks
+    model = rt.scalar_model(lambda t, x: -(x**3), zeta=2.0, name="cubic-decay")
+    n_list = [16, 64, 2 * MOMENT_CHUNK]
+    monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 64)
+    got = moment_probe(model, "classical", n_list, 4.0, 150, x0=10.0,
+                       jump_model=jumps_unit, base_seed=4)
+    want = _whole_array_probe(model, "classical", n_list, 4.0, 150, 10.0, jumps_unit, 4, 64)
+    assert [(r.sup_moment, r.diverged_frac) for r in got.rows] == want
+    assert [(r.sup_moment == np.inf, r.diverged_frac) for r in got.rows] == [
+        (True, 1.0), (False, 0.0), (False, 0.0)]
+
+
+def test_moment_probe_is_inf_where_a_finite_state_has_an_overflowing_norm():
+    # a 2-d state of finite entries near 1e200, whose norm overflows, is no
+    # divergence, yet its moment is infinite
+    model = rt.CoefficientSet(
+        dim_state=2, dim_noise=1,
+        drift=lambda t, x, env=None: 1e200 + 0.0 * x,
+        diffusion=lambda t, x, env=None: np.zeros(x.shape + (1,)),
+        jump=lambda t, x, z, env=None: np.zeros_like(x),
+    )
+    table = moment_probe(model, "classical", [8], 4.0, 3, x0=np.array([1.0, 1.0]))
+    assert [(r.sup_moment, r.diverged_frac) for r in table.rows] == [(np.inf, 0.0)]
 
 
 def test_moment_probe_sums_paths_in_order_then_blocks_in_order(dw_model, monkeypatch):

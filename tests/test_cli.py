@@ -250,7 +250,8 @@ def test_verify_refuses_other_presets(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("key, value", [("n_list", [0, 64]), ("num_paths", 0)])
+@pytest.mark.parametrize("key, value", [("n_list", [0, 64]), ("num_paths", 0), ("q", 1),
+                                        ("n_list", [16, 24])])
 def test_moments_bad_key_is_config_error(tmp_path, capsys, key, value):
     doc = dict(SMALL_STUDY)
     doc["moments"] = {"n_list": [16, 32], "q": 4, "num_paths": 10, key: value}
@@ -258,7 +259,42 @@ def test_moments_bad_key_is_config_error(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["moments", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: moments.{key}" in capsys.readouterr().err
-    assert not (out / "moments.csv").exists()
+    assert not out.exists()
+
+
+def test_unpicklable_factory_with_workers_is_config_error(tmp_path, capsys):
+    rt.register_model("lambda-well", lambda **kw: rt.double_well_model())
+    doc = dict(SMALL_STUDY, model=dict(SMALL_STUDY["model"], preset="lambda-well", params={}))
+    out = tmp_path / "made" / "out"
+    assert main(["converge", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--workers", "2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model 'lambda-well' cannot run with workers > 1: "
+                          "its factory does not pickle")
+    assert not (tmp_path / "made").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "moments"])
+@pytest.mark.parametrize("x0", [[1.0, 2.0], "abc"])
+def test_bad_x0_is_config_error_before_any_output(tmp_path, capsys, command, x0):
+    doc = _with(SMALL_STUDY, "model.x0", x0)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: model.x0 must be a number, got {x0!r}\n"
+    assert not out.exists()
+
+
+def test_verify_samples_the_configs_jump_intensity(tmp_path, capsys):
+    from rteuler.constraints import check_double_well_monotonicity_empirical
+
+    doc = dict(SMALL_STUDY, jumps={"intensity": 50.0})
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    params = rt.DoubleWellParams(**SMALL_STUDY["model"]["params"])
+    emp = check_double_well_monotonicity_empirical(params, intensity=50.0)
+    assert emp.fitted_constant != check_double_well_monotonicity_empirical(params).fitted_constant
+    assert (f"one-sided Lipschitz (sampled) fitted C={emp.fitted_constant:.6g}, "
+            in capsys.readouterr().out)
 
 
 def test_simulate_zero_steps_is_config_error(tmp_path, capsys):

@@ -17,6 +17,7 @@ import rteuler as rt
 from rteuler import harness
 from rteuler.grid import TimeGrid
 from rteuler.harness import GAP_MARK_SAMPLE, GAP_MAX_PAIRS, taming_gap_probe
+from rteuler.rng import make_block_draw
 from rteuler.scheme import SchemeConfig, simulate_paths, variant_is_randomized
 from rteuler.taming import denominator
 
@@ -27,8 +28,8 @@ def _whole_array_rows(model, variant, n_list, p0, num_paths, x0, jump_model, bas
     the jump gap over every stride-th pair of the flattened (path, step) array."""
     marks = np.asarray(jump_model.mark_sampler(np.random.default_rng(base_seed),
                                                GAP_MARK_SAMPLE), dtype=float)
-    draws = harness._draws(model, jump_model, base_seed, x0, range(num_paths), max(n_list),
-                           n_list)
+    draws = make_block_draw(base_seed, range(num_paths), fine_n=max(n_list), m=model.dim_noise,
+                            horizon=model.horizon, jump_model=jump_model, x0=x0, coarse=n_list)
     rows = {}
     for n in sorted(n_list, reverse=True):
         cfg, grid = SchemeConfig(variant, n), TimeGrid(n, model.horizon)

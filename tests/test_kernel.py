@@ -160,6 +160,18 @@ def test_randomizers_outside_unit_interval_rejected(bad_phi, dw_model):
             run(cfg, draw)
 
 
+def test_bad_randomizer_is_refused_before_any_cell_is_stepped(dw_model):
+    # cell 1500 lies in the draws' second window: the draws are refused where
+    # they are stacked, so no chunk of states reaches the sink
+    draw = _randomized_draw(n=2048)
+    draw.phis[2048][1499] = 1.5
+    seen = []
+    with pytest.raises(ValueError, match=r"phis\) for level n=2048 must lie in \(0, 1\]"):
+        simulate_paths(dw_model, SchemeConfig("randomized_tamed", 2048), [draw],
+                       on_chunk=lambda lo, chunk: seen.append(lo))
+    assert seen == []
+
+
 def test_missing_randomizer_level_is_value_error(dw_model):
     draw = rt.make_path_draw(0, 0, fine_n=16, m=1, horizon=1.0, levels=[8],
                              x0=np.array([2.0]))

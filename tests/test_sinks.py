@@ -73,18 +73,19 @@ def test_every_sink_equals_all_points_run(B, n, case):
         assert _bits(every.states) == _bits(full.states[:, ::f])
         runs.append(every)
 
-    sums, bad = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
+    sums = np.zeros(n + 1)
     seen = []
 
     def reduce(lo, chunk):
         seen.append((lo, lo + chunk.shape[1]))
-        _add_chunk(4.0, sums, bad, lo, chunk)
+        _add_chunk(4.0, sums, lo, chunk)
 
     moments = rt.simulate_paths(model, cfg, block, 2.0, keep=slice(0), on_chunk=reduce)
     assert moments.states.shape == (B, 0, 1)
     assert seen == _chunks(n)
     want_sums, want_bad = _whole_array_sums(full.states, 4.0)
-    assert _bits(sums) == _bits(want_sums) and np.array_equal(bad, want_bad)
+    assert _bits(sums[~want_bad]) == _bits(want_sums[~want_bad])
+    assert not np.isfinite(sums[want_bad]).any()
     runs.append(moments)
 
     for res in runs:
