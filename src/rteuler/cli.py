@@ -1,8 +1,8 @@
 """Batch front door: config loading, subcommands, CSV/JSON/SVG emission.
 
 Configuration lives in a single YAML file with nested sections: ``SCHEMA``
-declares every key with its default, and ``FLAGS`` the key each CLI flag
-overrides. All outputs are pure functions of (config bytes, seed): rerunning
+declares every key with its default and kind, and ``FLAGS`` the key each CLI
+flag overrides. All outputs are pure functions of (config bytes, seed): rerunning
 a command reproduces identical artifacts; the worker count only changes scheduling.
 
 Exit codes: 0 ok, 2 config error, 3 divergence threshold exceeded.
@@ -17,48 +17,82 @@ import math
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from . import constraints as cons
 from . import harness
-from .harness import StudyConfig
+from .harness import ERROR_TIMES, StudyConfig
 from .markov import Generator, simulate_ctmc
 from .model import DoubleWellParams, build_model, double_well_model, probe_growth
 from .plots import svg_loglog
 from .rng import StreamKey, StreamTag, make_path_draw, normal_marks
-from .scheme import DivergedPathError, SchemeConfig, simulate_path, simulate_sdde_switching
+from .scheme import (VARIANTS, DivergedPathError, SchemeConfig, simulate_path,
+                     simulate_sdde_switching)
 from .taming import TamingConfig, check_taming_bounds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-# section -> key -> default; "" holds the root keys. Any other key is a config
-# error, a key whose default is a list must be given a list, and only a key
-# whose default is a boolean may be given one.
-SCHEMA = {
-    "": {"seed": 0, "workers": 1, "out": "out", "format": "csv", "plot": False},
-    "model": {"preset": StudyConfig.model, "params": {}, "x0": StudyConfig.x0},
-    "jumps": {"intensity": StudyConfig.intensity},
-    "taming": {"n_power": StudyConfig.taming_n_power, "x_power": StudyConfig.taming_x_power},
-    "study": {k: getattr(StudyConfig, k) for k in (
-        "variants", "reference_variant", "levels", "reference_n", "num_paths", "p_list",
-        "error_time")},
-    "simulate": {"n": 256, "variant": "randomized_tamed", "sdde": None},
-    # initial_segment None: the constant segment at model.x0
-    "simulate.sdde": {"generator": None, "alpha0": 1, "delay": 0.0, "initial_segment": None,
-                      "params_by_regime": {}},
-    "moments": {"n_list": [64, 128, 256, 512, 1024], "q": 4, "num_paths": 10000,
-                "variant": "randomized_tamed"},
-    "verify": {"q_values": [4, 648], "p0_values": [2, 4], "lambda_factor": 1.001, "taming_n": 256},
-}
+# what a config value must be: ``text`` ends "<key> must be ...", ``test`` accepts one
+_Kind = NamedTuple("_Kind", [("text", str), ("test", Callable[[object], bool])])
 
-# the dotted keys that hold an integer, or a list of integers
-INTEGER_KEYS = {"workers", "study.levels", "study.reference_n", "study.num_paths", "simulate.n",
-                "simulate.sdde.alpha0", "moments.n_list", "moments.num_paths",
-                "verify.q_values", "verify.p0_values", "verify.taming_n"}
+
+def _list(text: str, kind: _Kind) -> _Kind:
+    return _Kind(f"a list of {text}", lambda v: isinstance(v, list) and all(map(kind.test, v)))
+
+
+def _choice(options: tuple) -> _Kind:
+    return _Kind(f"one of {options}", lambda v: isinstance(v, str) and v in options)
+
+
+def _at_least(kind: _Kind, lo: int) -> _Kind:
+    return _Kind(f"{kind.text} >= {lo}", lambda v: kind.test(v) and v >= lo)
+
+
+_BOOL = _Kind("a boolean", lambda v: isinstance(v, bool))
+_INT = _Kind("an integer", lambda v: type(v) is int)  # not a bool
+_NUMBER = _Kind("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
+_STR = _Kind("a string", lambda v: isinstance(v, str))
+_MAPPING = _Kind("a mapping", lambda v: isinstance(v, dict))
+_INTS, _NUMBERS = _list("integers", _INT), _list("finite numbers", _NUMBER)
+_VARIANT = _choice(VARIANTS)
+_STATE = _Kind("a finite number or a list of finite numbers",
+               lambda v: _NUMBER.test(v) or _NUMBERS.test(v))
+
+# section -> key -> (default, kind); "" holds the root keys. Any other key is a
+# config error, and a missing or null key takes its default. Bounds that span
+# keys stay with the constructors that check them (StudyConfig, SchemeConfig,
+# TamingConfig, the probes), whose messages ``_keyed`` names by key.
+SCHEMA = {
+    "": {"seed": (0, _at_least(_INT, 0)), "workers": (1, _INT), "out": ("out", _STR),
+         "format": ("csv", _choice(("csv", "json"))), "plot": (False, _BOOL)},
+    "model": {"preset": (StudyConfig.model, _STR), "params": ({}, _MAPPING),
+              "x0": (StudyConfig.x0, _STATE)},
+    "jumps": {"intensity": (StudyConfig.intensity, _at_least(_NUMBER, 0))},
+    "taming": {"n_power": (StudyConfig.taming_n_power, _NUMBER),
+               "x_power": (StudyConfig.taming_x_power, _NUMBER)},
+    "study": {"variants": (StudyConfig.variants, _list(f"values from {VARIANTS}", _VARIANT)),
+              "reference_variant": (StudyConfig.reference_variant, _VARIANT),
+              "levels": (StudyConfig.levels, _INTS),
+              "reference_n": (StudyConfig.reference_n, _INT),
+              "num_paths": (StudyConfig.num_paths, _INT),
+              "p_list": (StudyConfig.p_list, _NUMBERS),
+              "error_time": (StudyConfig.error_time, _choice(ERROR_TIMES))},
+    "simulate": {"n": (256, _INT), "variant": ("randomized_tamed", _VARIANT),
+                 "sdde": (None, _MAPPING)},
+    # initial_segment None: the constant segment at model.x0
+    "simulate.sdde": {"generator": (None, _list("lists of finite numbers", _NUMBERS)),
+                      "alpha0": (1, _INT), "delay": (0.0, _at_least(_NUMBER, 0)),
+                      "initial_segment": (None, _STATE), "params_by_regime": ({}, _MAPPING)},
+    "moments": {"n_list": ([64, 128, 256, 512, 1024], _INTS), "q": (4, _NUMBER),
+                "num_paths": (10000, _INT), "variant": ("randomized_tamed", _VARIANT)},
+    "verify": {"q_values": ([4, 648], _INTS), "p0_values": ([2, 4], _INTS),
+               "lambda_factor": (1.001, _NUMBER), "taming_n": (256, _at_least(_INT, 1))},
+}
 
 # subcommand -> flag -> the dotted config key it overrides when given
 FLAGS = {
@@ -85,28 +119,27 @@ def _keyed(section: str, exc: Exception) -> ConfigError:
     return ConfigError(f"bad {section} config: {msg}")
 
 
+def _check(dotted: str, value):
+    """``value``, if it is of the kind ``SCHEMA`` declares for the key ``dotted``."""
+    section, _, key = dotted.rpartition(".")
+    kind = SCHEMA[section][key][1]
+    if not kind.test(value):
+        raise ConfigError(f"{dotted} must be {kind.text}, got {value!r}")
+    return value
+
+
 def _checked(name: str, given) -> dict:
-    """Section ``name`` checked against ``SCHEMA``; missing or null keys get their default."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    out = copy.deepcopy(SCHEMA[name])
-    for key, value in given.items():
+    """Section ``name`` (None: empty), each key checked against its kind in
+    ``SCHEMA``; missing or null keys get their default."""
+    if not isinstance(given, (dict, type(None))):
+        raise ConfigError(f"{name} must be a mapping, got {given!r}")
+    out = {key: copy.deepcopy(default) for key, (default, _kind) in SCHEMA[name].items()}
+    for key, value in (given or {}).items():
         dotted = f"{name}.{key}" if name else str(key)
         if key not in out:
             raise ConfigError(f"unknown config key {dotted}")
-        if value is None:
-            continue
-        if isinstance(out[key], (list, tuple)) and not isinstance(value, list):
-            raise ConfigError(f"{dotted} must be a list, got {value!r}")
-        if isinstance(out[key], dict) and not isinstance(value, dict):
-            raise ConfigError(f"{dotted} must be a mapping, got {value!r}")
-        values = value if isinstance(value, list) else [value]
-        if not isinstance(out[key], bool) and any(isinstance(v, bool) for v in values):
-            raise ConfigError(f"{dotted} must not be a boolean, got {value!r}")
-        if dotted in INTEGER_KEYS and not all(isinstance(v, int) for v in values):
-            kind = "a list of integers" if isinstance(value, list) else "an integer"
-            raise ConfigError(f"{dotted} must be {kind}, got {value!r}")
-        out[key] = value
+        if value is not None:
+            out[key] = _check(dotted, value)
     return out
 
 
@@ -120,43 +153,30 @@ def load_config(path: str | None) -> dict:
         with open(path) as fh:
             data = yaml.safe_load(fh) or {}
         if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
-    sections = {name: _checked(name, data.pop(name, None) or {})
+            raise ConfigError(f"config root must be a mapping, got {data!r}")
+    sections = {name: _checked(name, data.pop(name, None))
                 for name in SCHEMA if name and "." not in name}
-    if data.get("seed") is not None:  # before _checked, whose boolean message is less exact
-        _check_seed(data)
     config = {**_checked("", data), **sections}
     if config["simulate"]["sdde"]:
         config["simulate"]["sdde"] = _checked("simulate.sdde", config["simulate"]["sdde"])
-    intensity = config["jumps"]["intensity"]
-    if not (isinstance(intensity, (int, float)) and 0.0 <= intensity < math.inf):
-        raise ConfigError(f"jumps.intensity must be a finite number >= 0, got {intensity!r}")
-    taming = config["taming"]
-    try:
-        taming["n_power"] = float(taming["n_power"])
-        TamingConfig(n=1, zeta=1.0, **taming)
-    except (TypeError, ValueError) as exc:
+    try:  # the exponents' bounds are the taming's own
+        TamingConfig(n=1, zeta=1.0, **config["taming"])
+    except ValueError as exc:
         raise _keyed("taming", exc) from exc
     return config
 
 
-def _check_seed(config: dict) -> None:
-    seed = config["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def _apply_flags(config: dict, args) -> None:
-    """Override each config key from its flag in ``FLAGS``, if the flag was given."""
+    """Override each config key from its flag in ``FLAGS``, if the flag was
+    given, checking the value as ``_checked`` checks the file's."""
     for flag, dotted in FLAGS[args.command].items():
         value = getattr(args, flag)
         if value is None:
             continue
         section, _, key = dotted.rpartition(".")
-        if isinstance(SCHEMA[section][key], (list, tuple)) and not isinstance(value, list):
+        if isinstance(SCHEMA[section][key][0], (list, tuple)) and not isinstance(value, list):
             value = [value]
-        (config[section] if section else config)[key] = value
-    _check_seed(config)
+        (config[section] if section else config)[key] = _check(dotted, value)
 
 
 def _built(factory, params: dict, dotted: str, given: dict | None = None):
@@ -177,8 +197,7 @@ def _model(config: dict):
     model = config["model"]
     built = _built(partial(build_model, model["preset"]), model["params"], "model.params")
     x0, d = model["x0"], built.dim_state
-    values = x0 if isinstance(x0, list) else [x0]
-    if len(values) != d or not all(isinstance(v, (int, float)) for v in values):
+    if len(x0 if isinstance(x0, list) else [x0]) != d:
         want = "a number" if d == 1 else f"a list of {d} numbers"
         raise ConfigError(f"model.x0 must be {want}, got {x0!r}")
     return built
@@ -189,17 +208,11 @@ def _study_config(config: dict) -> StudyConfig:
     model, taming = config["model"], config["taming"]
     study = {k: tuple(v) if isinstance(v, list) else v for k, v in config["study"].items()}
     try:
-        return StudyConfig(
-            **study,
-            model=model["preset"],
-            model_params=model["params"],
-            x0=model["x0"],
-            base_seed=config["seed"],
-            intensity=float(config["jumps"]["intensity"]),
-            taming_n_power=taming["n_power"],
-            taming_x_power=taming["x_power"],
-        )
-    except (TypeError, ValueError) as exc:
+        return StudyConfig(**study, model=model["preset"], model_params=model["params"],
+                           x0=model["x0"], base_seed=config["seed"],
+                           intensity=config["jumps"]["intensity"],
+                           taming_n_power=taming["n_power"], taming_x_power=taming["x_power"])
+    except ValueError as exc:
         raise _keyed("study", exc) from exc
 
 
@@ -218,14 +231,10 @@ def _write_json(path: Path, doc) -> None:
 
 def cmd_converge(args, config: dict) -> int:
     cfg = _study_config(config)
-    workers, fmt = config["workers"], config["format"]
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {fmt!r}")
+    fmt = config["format"]
     out = _out_dir(config)
     try:  # a model whose factory cannot reach the workers is refused before any path runs
-        reports = harness.strong_error_study(cfg, workers=workers,
+        reports = harness.strong_error_study(cfg, workers=config["workers"],
                                              progress=partial(print, file=sys.stderr))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -246,12 +255,16 @@ def cmd_converge(args, config: dict) -> int:
         for r in reports
     }
     _write_json(out / "rates.json", rates)
-    if config["plot"]:
+    if config["plot"]:  # a log-log plot of the usable rows' positive errors
         series = {
-            f"p={p:g}": [(r.dt, r.error) for r in reports[0].rows_for_p(p) if r.usable]
+            f"p={p:g}": [(r.dt, r.error) for r in reports[0].rows_for_p(p)
+                         if r.usable and r.error > 0.0]
             for p in cfg.p_list
         }
-        (out / "errors.svg").write_text(svg_loglog(series))
+        if any(series.values()):
+            (out / "errors.svg").write_text(svg_loglog(series))
+        else:
+            print("no usable row to plot: errors.svg not written", file=sys.stderr)
     print(f"wrote {out}/", file=sys.stderr)
     return status
 
@@ -278,27 +291,21 @@ def _write_trajectory_csv(path: Path, traj) -> None:
 def cmd_simulate(args, config: dict) -> int:
     model = _model(config)
     sec, x0, seed = config["simulate"], config["model"]["x0"], config["seed"]
-    n, variant = sec["n"], sec["variant"]
-    intensity = float(config["jumps"]["intensity"])
+    n, intensity = sec["n"], config["jumps"]["intensity"]
     try:
-        cfg = SchemeConfig(variant, n, **config["taming"])
+        cfg = SchemeConfig(sec["variant"], n, **config["taming"])
     except ValueError as exc:
-        raise ConfigError(f"simulate.n is {n}, simulate.variant is {variant!r}: {exc}") from exc
+        raise _keyed("simulate", exc) from exc
 
     sdde = sec["sdde"]
     if sdde:  # built and checked before the output directory is made
         try:
-            gen = Generator(np.asarray(sdde["generator"], dtype=float))
+            gen = Generator(sdde["generator"])
             chain = simulate_ctmc(
                 gen, sdde["alpha0"], model.horizon, StreamKey(seed, 0, StreamTag.MARKOV)
             )
-            delay = float(sdde["delay"])
-            segment = x0 if sdde["initial_segment"] is None else sdde["initial_segment"]
-            segment = np.atleast_1d(np.asarray(segment, dtype=float))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if not delay >= 0.0:
-            raise ConfigError(f"simulate.sdde.delay must be >= 0, got {sdde['delay']!r}")
+        except ValueError as exc:
+            raise _keyed("simulate.sdde", exc) from exc
         regimes = range(1, gen.m0 + 1)
         for key in sdde["params_by_regime"]:
             if type(key) is not int or key not in regimes:  # not a bool, a float or a str
@@ -318,15 +325,9 @@ def cmd_simulate(args, config: dict) -> int:
                           levels=[n], jump_model=normal_marks(intensity), x0=x0)
     try:
         if sdde:
-            traj = simulate_sdde_switching(
-                by_regime,
-                cfg,
-                draw,
-                delay=delay,
-                initial_segment=segment,
-                chain=chain,
-                intensity=intensity,
-            )
+            segment = x0 if sdde["initial_segment"] is None else sdde["initial_segment"]
+            traj = simulate_sdde_switching(by_regime, cfg, draw, sdde["delay"], segment, chain,
+                                           intensity)
         else:
             traj = simulate_path(model, cfg, draw, intensity=intensity)
     except DivergedPathError as exc:
@@ -346,18 +347,15 @@ def cmd_verify(args, config: dict) -> int:
             f"model.preset is {preset!r}; verify checks the double-well constraints only"
         )
     dw = _built(lambda given: DoubleWellParams(**given), params, "model.params")
-    lam = float(sec["lambda_factor"])
-    n = sec["taming_n"]
-    if n < 1:
-        raise ConfigError(f"verify.taming_n must be >= 1, got {n}")
-
-    lines = []
-    for q in sec["q_values"]:
-        rep = cons.check_coercivity(q, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
-        lines.append(rep.format_row())
-    for p0 in sec["p0_values"]:
-        rep = cons.check_monotonicity(p0, lam, dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
-        lines.append(rep.format_row())
+    n, hats = sec["taming_n"], (dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
+    try:
+        lines = [cons.check_coercivity(q, *hats).format_row() for q in sec["q_values"]]
+        lines += [cons.check_monotonicity(p0, sec["lambda_factor"], *hats).format_row()
+                  for p0 in sec["p0_values"]]
+    except ValueError as exc:  # its message starts with the argument's name
+        key = {"q": "q_values", "p0": "p0_values", "lam": "lambda_factor"}.get(
+            str(exc).partition(" ")[0])
+        raise ConfigError(f"verify.{key}: {exc}" if key else f"bad verify config: {exc}") from exc
 
     model = double_well_model(dw)
     bounds = check_taming_bounds(model, TamingConfig(n=n, zeta=model.zeta, **config["taming"]))
@@ -371,8 +369,7 @@ def cmd_verify(args, config: dict) -> int:
         f"growth probe                  drift K={growth.drift_constant:.6g}, "
         f"diffusion K={growth.diffusion_constant:.6g} on |x|<={growth.box[1]:g}"
     )
-    emp = cons.check_double_well_monotonicity_empirical(
-        dw, intensity=float(config["jumps"]["intensity"]))
+    emp = cons.check_double_well_monotonicity_empirical(dw, intensity=config["jumps"]["intensity"])
     lines.append(
         f"one-sided Lipschitz (sampled) fitted C={emp.fitted_constant:.6g}, "
         f"cubic sign violations={emp.cubic_sign_violations}"
@@ -389,12 +386,12 @@ def cmd_verify(args, config: dict) -> int:
 def cmd_moments(args, config: dict) -> int:
     model = _model(config)
     sec, taming = config["moments"], config["taming"]
-    intensity = float(config["jumps"]["intensity"])
     out = _out_dir(config)
     try:
         table = harness.moment_probe(
-            model, sec["variant"], sec["n_list"], float(sec["q"]), sec["num_paths"],
-            x0=config["model"]["x0"], jump_model=normal_marks(intensity), base_seed=config["seed"],
+            model, sec["variant"], sec["n_list"], sec["q"], sec["num_paths"],
+            x0=config["model"]["x0"], jump_model=normal_marks(config["jumps"]["intensity"]),
+            base_seed=config["seed"],
             taming_n_power=taming["n_power"], taming_x_power=taming["x_power"],
         )
     except ValueError as exc:

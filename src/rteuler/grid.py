@@ -52,7 +52,9 @@ class TimeGrid:
         """
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return self.point(min(int(math.floor(t * self.n / self.horizon)), self.n - 1))
+        k = min(int(math.floor(t * self.n / self.horizon)), self.n - 1)
+        # (k*T)/n can round past t when t*n/T rounds up to the integer k
+        return self.point(k - 1 if self.point(k) > t else k)
 
     def xi(self, k: int, phi: float) -> float:
         """Randomized evaluation point t_{k-1} + dt*phi inside cell k (1-based).

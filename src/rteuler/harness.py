@@ -306,7 +306,7 @@ def strong_error_study(
                     "reference_n": cfg.reference_n,
                     "reference_variant": cfg.reference_variant,
                     "error_time": cfg.error_time,
-                    "intensity": cfg.intensity,
+                    "intensity": float(cfg.intensity),
                     "reference_diverged_frac": float(np.mean(ref_diverged)),
                 },
             )

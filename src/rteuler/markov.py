@@ -75,7 +75,7 @@ def simulate_ctmc(gen: Generator, alpha0: int, horizon: float, key: StreamKey) -
     with probability q_ij / (-q_ii). Absorbing states hold forever.
     """
     if not 1 <= alpha0 <= gen.m0:
-        raise ValueError(f"initial regime {alpha0} outside 1..{gen.m0}")
+        raise ValueError(f"alpha0 must be a regime 1..{gen.m0}, got {alpha0}")
     rng = key.generator()
     q = gen.rates
     times: list[float] = []

@@ -67,7 +67,7 @@ class SchemeConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.n < 1:
-            raise ValueError("step count must be >= 1")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         TamingConfig(self.n, 0.0, self.n_power, self.x_power)  # rejects bad exponents
 
     def taming_for(self, model: CoefficientSet) -> TamingConfig | None:
@@ -220,10 +220,12 @@ def _run(
     ``step_env(k, states)`` names the model (a key of ``models``) and the
     environment for cell k; ``states`` is the (B, n+1, d) buffer, filled up
     to index k-1, when ``keep`` is all points. Every model shares the first
-    one's dimensions and horizon. The draws come in the block's time-major
-    windows, so each step reads one contiguous row of them. The states are
-    stepped into ``_chunks``; of each, the points ``keep`` selects go to the
-    result and ``on_chunk(lo, chunk)`` gets all its (B, hi-lo, d) states.
+    one's dimensions and horizon; cell 1's model must return a (B, d) drift
+    and a (B, d, m) diffusion, which is checked once, before any cell. The
+    draws come in the block's time-major windows, so each step reads one
+    contiguous row of them. The states are stepped into ``_chunks``; of
+    each, the points ``keep`` selects go to the result and ``on_chunk(lo,
+    chunk)`` gets all its (B, hi-lo, d) states.
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
@@ -245,6 +247,12 @@ def _run(
     windows = block.windows(n, randomized)
     w_lo = w_hi = 0  # the cells lo..hi-1 of the window in hand
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        key, env = step_env(1, states)  # a coefficient of the wrong shape would broadcast
+        for name, want in (("drift", (B, d)), ("diffusion", (B, d, m))):
+            got = np.shape(getattr(models[key], name)(0.0, x, env))
+            if got != want:
+                raise ValueError(f"{name} returns shape {got} for states of shape {x.shape}, "
+                                 f"expected {want}")
         for lo, hi in _chunks(n):
             chunk = buf[:, lo:hi] if whole else buf[:, : hi - lo]
             for k in range(max(lo, 1), hi):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +282,9 @@ def test_bad_x0_is_config_error_before_any_output(tmp_path, capsys, command, x0)
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
         == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: model.x0 must be a number, got {x0!r}\n"
+    # a string is no state; a list of two numbers is one of the wrong length
+    kind = "a finite number or a list of finite numbers" if x0 == "abc" else "a number"
+    assert capsys.readouterr().err == f"config error: model.x0 must be {kind}, got {x0!r}\n"
     assert not out.exists()
 
 
@@ -328,7 +331,9 @@ def test_scalar_for_list_is_config_error(tmp_path, capsys, command, section, key
     cfg = write_config(tmp_path, dict(SMALL_STUDY, **{section: {key: 64}}))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert f"config error: {section}.{key} must be a list, got 64" in capsys.readouterr().err
+    kind = "finite numbers" if key == "p_list" else "integers"
+    assert f"config error: {section}.{key} must be a list of {kind}, got 64" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -341,8 +346,9 @@ def test_boolean_for_number_is_config_error(tmp_path, capsys, command, section, 
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
         == EXIT_CONFIG
+    kind = {"intensity": "a finite number >= 0", "n": "an integer", "levels": "a list of integers"}
     assert capsys.readouterr().err == \
-        f"config error: {section}.{key} must not be a boolean, got {value!r}\n"
+        f"config error: {section}.{key} must be {kind[key]}, got {value!r}\n"
     assert not out.exists()
 
 
@@ -350,12 +356,13 @@ def test_boolean_for_number_is_config_error(tmp_path, capsys, command, section, 
     (["simulate", "--n", "0"], "simulate.n"),
     (["converge", "--paths", "0"], "study.num_paths"),
     (["converge", "--workers", "0"], "workers"),
+    (["converge", "--variant", "euler"], "study.variants"),  # a flag is checked as the file is
 ])
 def test_zero_flag_is_not_replaced_by_config(tmp_path, capsys, argv, key):
     cfg = write_config(tmp_path, SMALL_STUDY)  # simulate.n 4, study.num_paths 40
     out = tmp_path / "out"
     assert main(argv + ["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert f"config error: {key}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
     assert not out.exists()
 
 
@@ -410,7 +417,7 @@ def test_zero_verify_taming_n_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL_STUDY, verify={"taming_n": 0}))
     assert main(["verify", "--config", cfg]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == "config error: verify.taming_n must be >= 1, got 0\n"
+    assert captured.err == "config error: verify.taming_n must be an integer >= 1, got 0\n"
     assert captured.out == ""
 
 
@@ -478,6 +485,7 @@ def test_integer_key_rejects_a_non_integer(tmp_path, capsys, command, dotted, va
     argv = [command, "--config", write_config(tmp_path, _with(doc, dotted, value))]
     assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == EXIT_CONFIG
     kind = "a list of integers" if isinstance(value, list) else "an integer"
+    kind += " >= 1" if dotted == "verify.taming_n" else ""
     captured = capsys.readouterr()
     assert captured.err == f"config error: {dotted} must be {kind}, got {value!r}\n"
     assert captured.out == "" and not out.exists()
@@ -549,7 +557,7 @@ def test_regime_params_of_no_regime_are_config_errors(tmp_path, capsys, given, k
      "simulate.sdde.params_by_regime.2.beta_hat must be a number, got True"),
     (dict(SDDE, params_by_regime={2: 5}),
      "simulate.sdde.params_by_regime.2 must be a mapping, got 5"),
-    (dict(SDDE, delay=-0.125), "simulate.sdde.delay must be >= 0, got -0.125"),
+    (dict(SDDE, delay=-0.125), "simulate.sdde.delay must be a finite number >= 0, got -0.125"),
     (dict(SDDE, alpha0=3), None),
     (dict(SDDE, generator=[[-3.0, 2.0], [3.0, -3.0]]), None),
     (dict(SDDE, initial_segment="low"), None),
@@ -563,6 +571,16 @@ def test_sdde_config_errors_leave_no_output_directory(tmp_path, capsys, sdde, me
     assert err.startswith("config error: ")
     if message is not None:
         assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_initial_regime_outside_the_generator_names_alpha0(tmp_path, capsys):
+    doc = _with(SMALL_STUDY, "simulate.sdde", dict(SDDE, alpha0=3))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: simulate.sdde.alpha0 must be a regime 1..2, got 3\n"
     assert not out.exists()
 
 
@@ -588,3 +606,89 @@ def test_trajectory_csv_has_the_bytes_of_per_row_formatting(tmp_path, d, regimes
         fmt += ",{}"
     want = [",".join(header)] + [fmt.format(*row) for row in zip(*columns)]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
+DESK = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" /
+                       "double_well_desk.yaml").read_text())
+
+
+def test_converge_with_no_usable_row_writes_no_plot(tmp_path, capsys):
+    # classical Euler from x0 = 30 diverges on every path at every level
+    doc = _with(_with(DESK, "model.x0", 30), "study", dict(
+        DESK["study"], variants=["classical"], levels=[4, 8, 16], reference_n=64, num_paths=40))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_DIVERGED
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv", "rates.json"]
+    assert "errors.svg not written" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("q_values", [0]), ("p0_values", [0]),
+                                        ("lambda_factor", 0.5)])
+def test_verify_range_error_names_its_key(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, _with(SMALL_STUDY, f"verify.{key}", value))
+    assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: verify.{key}: ") and captured.out == ""
+
+
+# (a command that reads the dotted key, the key, a value of the wrong kind)
+WRONG_KIND = [
+    ("simulate", "seed", 1.5),
+    ("converge", "workers", "2"),
+    ("simulate", "out", 5),
+    ("converge", "format", 5),
+    ("converge", "plot", "no"),
+    ("simulate", "model.preset", 5),
+    ("simulate", "model.params", [1.0]),
+    ("moments", "model.x0", float("inf")),
+    ("simulate", "model.x0", float("nan")),
+    ("converge", "jumps.intensity", "many"),
+    ("simulate", "taming.n_power", "abc"),
+    ("simulate", "taming.x_power", "abc"),
+    ("converge", "study.variants", "classical"),
+    ("converge", "study.reference_variant", "nope"),
+    ("converge", "study.levels", [16, "32"]),
+    ("converge", "study.reference_n", 256.0),
+    ("converge", "study.num_paths", "40"),
+    ("converge", "study.p_list", ["x"]),
+    ("converge", "study.error_time", "midway"),
+    ("simulate", "simulate.n", "4"),
+    ("simulate", "simulate.variant", "euler"),
+    ("simulate", "simulate.sdde", 5),
+    ("simulate", "simulate.sdde.generator", [[-3.0, "x"], [3.0, -3.0]]),
+    ("simulate", "simulate.sdde.alpha0", "1"),
+    ("simulate", "simulate.sdde.delay", "abc"),
+    ("simulate", "simulate.sdde.initial_segment", "low"),
+    ("simulate", "simulate.sdde.params_by_regime", [1]),
+    ("moments", "moments.n_list", 64),
+    ("moments", "moments.q", "abc"),
+    ("moments", "moments.num_paths", True),
+    ("moments", "moments.variant", 3),
+    ("verify", "verify.q_values", ["4"]),
+    ("verify", "verify.p0_values", 2),
+    ("verify", "verify.lambda_factor", "abc"),
+    ("verify", "verify.taming_n", "256"),
+]
+
+
+def test_wrong_kind_cases_cover_every_schema_key():
+    from rteuler.cli import SCHEMA
+
+    keys = {f"{section}.{key}" if section else key for section, keys in SCHEMA.items()
+            for key in keys}
+    assert {dotted for _command, dotted, _value in WRONG_KIND} == keys
+
+
+@pytest.mark.parametrize("command, dotted, value", WRONG_KIND)
+def test_value_of_the_wrong_kind_is_refused_before_anything_runs(tmp_path, monkeypatch, capsys,
+                                                                  command, dotted, value):
+    monkeypatch.chdir(tmp_path)  # the default out, or a bad one, would land here
+    doc = _with(SMALL_STUDY, "simulate.sdde", SDDE) if dotted.startswith("simulate.sdde.") \
+        else SMALL_STUDY
+    assert main([command, "--config", write_config(tmp_path, _with(doc, dotted, value))]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {dotted} must be ")
+    assert captured.err.endswith(f", got {value!r}\n") and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rteuler import TimeGrid
 
@@ -62,6 +62,7 @@ def test_grid_validation():
     frac=st.floats(0.0, 1.0, exclude_max=True),
     horizon=st.sampled_from([1.0, 0.5, 2.0, 3.7]),
 )
+@example(n=18, frac=0.5, horizon=3.7)  # (9 * 3.7) / 18 rounds up past t = 1.85
 def test_kappa_range_invariant(n, frac, horizon):
     g = TimeGrid(n, horizon)
     t = frac * horizon

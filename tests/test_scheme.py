@@ -1,4 +1,5 @@
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -283,3 +284,21 @@ def test_sdde_missing_regime_model_rejected(dw_model):
     with pytest.raises(KeyError):
         simulate_sdde_switching({1: dw_model}, SchemeConfig("tamed", 8), draw,
                                 0.0, np.array([1.0]), chain)
+
+
+@pytest.mark.parametrize("B", [1, 5])
+@pytest.mark.parametrize("name, bad, got, want", [
+    ("drift", lambda t, x, env=None: -x[:, 0], "({B},)", "({B}, 1)"),
+    ("diffusion", lambda t, x, env=None: x, "({B}, 1)", "({B}, 1, 1)"),
+])
+def test_coefficient_of_the_wrong_shape_is_refused_before_any_cell(B, name, bad, got, want):
+    # each broadcasts against (B, 1) states: at B = 1 without error, at B = 5
+    # into a (5, 5) state deep in the loop
+    coeffs = dict(drift=lambda t, x, env=None: -x, diffusion=lambda t, x, env=None: x[..., None],
+                  jump=lambda t, x, z, env=None: np.zeros_like(x))
+    model = rt.CoefficientSet(dim_state=1, dim_noise=1, **dict(coeffs, **{name: bad}))
+    draws = [rt.make_path_draw(0, i, fine_n=8, m=1, horizon=1.0, levels=[8], x0=np.array([1.0]))
+             for i in range(B)]
+    message = f"{name} returns shape {got} for states of shape ({B}, 1), expected {want}"
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(B=B)) + "$"):
+        simulate_paths(model, SchemeConfig("classical", 8), draws)
