@@ -191,15 +191,17 @@ def _built(factory, params: dict, dotted: str, given: dict | None = None):
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
-def _model(config: dict):
-    """The config's model; ``model.x0`` must be a number, or for a d-dimensional
+def _model(config: dict, states: dict | None = None):
+    """The config's model; ``model.x0``, and each value of ``states`` (dotted
+    key -> value) that is not None, must be a number, or for a d-dimensional
     state a list of d numbers."""
     model = config["model"]
     built = _built(partial(build_model, model["preset"]), model["params"], "model.params")
-    x0, d = model["x0"], built.dim_state
-    if len(x0 if isinstance(x0, list) else [x0]) != d:
-        want = "a number" if d == 1 else f"a list of {d} numbers"
-        raise ConfigError(f"model.x0 must be {want}, got {x0!r}")
+    d = built.dim_state
+    for dotted, state in {"model.x0": model["x0"], **(states or {})}.items():
+        if state is not None and len(state if isinstance(state, list) else [state]) != d:
+            want = "a number" if d == 1 else f"a list of {d} numbers"
+            raise ConfigError(f"{dotted} must be {want}, got {state!r}")
     return built
 
 
@@ -289,15 +291,14 @@ def _write_trajectory_csv(path: Path, traj) -> None:
 
 
 def cmd_simulate(args, config: dict) -> int:
-    model = _model(config)
     sec, x0, seed = config["simulate"], config["model"]["x0"], config["seed"]
-    n, intensity = sec["n"], config["jumps"]["intensity"]
+    n, intensity, sdde = sec["n"], config["jumps"]["intensity"], sec["sdde"]
+    model = _model(config, sdde and {"simulate.sdde.initial_segment": sdde["initial_segment"]})
     try:
         cfg = SchemeConfig(sec["variant"], n, **config["taming"])
     except ValueError as exc:
         raise _keyed("simulate", exc) from exc
 
-    sdde = sec["sdde"]
     if sdde:  # built and checked before the output directory is made
         try:
             gen = Generator(sdde["generator"])
@@ -348,13 +349,14 @@ def cmd_verify(args, config: dict) -> int:
         )
     dw = _built(lambda given: DoubleWellParams(**given), params, "model.params")
     n, hats = sec["taming_n"], (dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
+    if not sec["lambda_factor"] > 1.0:  # checked before the loops, which may be empty
+        raise ConfigError(f"verify.lambda_factor: must be > 1, got {sec['lambda_factor']!r}")
     try:
         lines = [cons.check_coercivity(q, *hats).format_row() for q in sec["q_values"]]
         lines += [cons.check_monotonicity(p0, sec["lambda_factor"], *hats).format_row()
                   for p0 in sec["p0_values"]]
     except ValueError as exc:  # its message starts with the argument's name
-        key = {"q": "q_values", "p0": "p0_values", "lam": "lambda_factor"}.get(
-            str(exc).partition(" ")[0])
+        key = {"q": "q_values", "p0": "p0_values"}.get(str(exc).partition(" ")[0])
         raise ConfigError(f"verify.{key}: {exc}" if key else f"bad verify config: {exc}") from exc
 
     model = double_well_model(dw)

@@ -29,8 +29,10 @@ from .model import _MODEL_REGISTRY, CoefficientSet, build_model, register_model
 from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
 from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
+    SLICE,
     VARIANTS,
     SchemeConfig,
+    _chunks,
     simulate_paths,
     variant_is_randomized,
     variant_is_tamed,
@@ -338,15 +340,22 @@ def _add_chunk(q: float, sums: np.ndarray, lo: int, chunk: np.ndarray):
     grid points lo..lo+w-1, into ``sums`` (n+1,); a non-finite state makes its
     point's sum non-finite.
 
-    Grid points are independent and each one's sum over paths keeps its row
-    order, so over ``_chunks`` the bits equal one whole-array reduction. No
-    chunk may be one column wide: numpy sums a single column pairwise rather
-    than row by row, which changes the bits.
+    The chunk is reduced in column slices of ``SLICE`` points, the last also
+    taking the final point, with ``np.linalg.norm``'s own formula
+    ``sqrt(add.reduce(x*x, axis=-1))``; the sqrt and the power are taken in
+    place, so only (B, SLICE) arrays are made. Grid points are independent
+    and each one's sum over paths keeps its row order, so over ``_chunks``
+    the bits equal one whole-array reduction. No slice may be one column
+    wide: numpy sums a single column pairwise rather than row by row, which
+    changes the bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        powered = np.linalg.norm(chunk, axis=-1)  # (B, w)
-        powered **= q  # in place, which keeps one (B, w) array fewer live
-    sums[lo : lo + chunk.shape[1]] += powered.sum(axis=0)
+        for a, b in _chunks(chunk.shape[1] - 1, SLICE):
+            x = chunk[:, a:b]
+            powered = np.add.reduce(x * x, axis=-1)  # (B, b - a)
+            np.sqrt(powered, out=powered)
+            powered **= q
+            sums[lo + a : lo + b] += powered.sum(axis=0)
 
 
 def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x0,

@@ -222,15 +222,16 @@ def _window(rows: int) -> int:
 
 class _Randomizers:
     """A block's drift randomizers, for any level, filled from the level's
-    stream keys when read. A read of a level keys its rows' generators once
-    and carries them from one window to the next, dropping them after the
-    last. ``random()`` takes one Philox word per double and Philox makes four
-    words per counter, so a read that does not continue the previous window
-    starts its generators at counter ``lo // 4``."""
+    stream keys when read. The block owns one pool of generators, one per
+    row, built on the first read: a read of a level re-keys them (``_rekey``)
+    and carries them from one window to the next. ``random()`` takes one
+    Philox word per double and Philox makes four words per counter, so a
+    read that does not continue the previous window starts its generators at
+    counter ``lo // 4``."""
 
     def __init__(self, base_seed: int, paths: range):
         self._seed, self._paths = base_seed, paths
-        self._next, self._gens = None, []  # (level, lo) the carried generators continue at
+        self._next, self._gens = None, []  # (level, lo) the pool's generators continue at
 
     def window(self, n: int, lo: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (w, B) with level n's randomizers of cells lo..lo+w-1
@@ -238,8 +239,7 @@ class _Randomizers:
         (w, B), paths = out.shape, self._paths
         if self._next != (n, lo):
             keys = _philox_keys(self._seed, (paths, [StreamTag.RANDOMIZER] * B, [n] * B))
-            self._gens = [np.random.Generator(np.random.Philox(_Key(key), counter=lo // 4))
-                          for key in keys]
+            self._gens = _rekey(self._gens, keys, lo // 4)
         gens, rows = self._gens, np.empty((min(ROWS, B), w))
         for r in range(0, B, ROWS):
             part = rows[: min(ROWS, B - r)]
@@ -247,7 +247,7 @@ class _Randomizers:
                 gen.random(out=row)
             np.subtract(1.0, part, out=part)  # uniform_open_closed
             out[:, r : r + len(part)] = part.T
-        self._next, self._gens = ((n, lo + w), gens) if lo + w < n else (None, [])
+        self._next = (n, lo + w) if lo + w < n else None
         return out
 
     def __getitem__(self, n: int) -> np.ndarray:
@@ -264,6 +264,26 @@ class _Key(ISeedSequence):
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         return self.key
+
+
+_ANY_KEY = _Key(np.zeros(2, dtype=np.uint64))  # shared by the generators ``_rekey`` builds
+
+
+def _rekey(gens: list, keys: np.ndarray, counter: int = 0) -> list:
+    """``gens``, each put in the state of ``Philox(key=key, counter=counter)``
+    for its row of ``keys`` (K, 2): a fresh stream, whatever it drew before.
+    One state dict of plain ints serves every generator. The list is first
+    extended to K generators, built from ``_ANY_KEY`` (a seed would run
+    SeedSequence for each)."""
+    gens += [np.random.Generator(np.random.Philox(_ANY_KEY))
+             for _ in range(len(keys) - len(gens))]
+    inner = {"counter": [counter, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # 4: the buffer is empty
+    for gen, key in zip(gens, keys.tolist()):
+        inner["key"] = key
+        gen.bit_generator.state = state
+    return gens
 
 
 def _coarse_sums(part: np.ndarray, f: int) -> np.ndarray:
@@ -292,8 +312,9 @@ def _check_level(n: int, fine_n: int):
 
 class _Brownian:
     """A block's Brownian increments, ``fine`` whole (B, fine_n, m) or drawn
-    window by window from the rows' Brownian stream ``keys``, each row's
-    generator carried from one window to the next.
+    window by window from the rows' Brownian stream ``keys``. The block owns
+    one pool of generators, one per row, built on the first pass: each pass
+    re-keys them (``_rekey``) and carries them from one window to the next.
 
     A pass over the fine windows also sums each window, in path-major layout,
     into the coarse levels not yet filled, so a coarse level is drawn once and
@@ -302,7 +323,7 @@ class _Brownian:
 
     def __init__(self, fine_n: int, m: int, *, fine=None, keys=None, sd=0.0, coarse=()):
         self.fine_n, self.m, self._fine, self._keys, self._sd = fine_n, m, fine, keys, sd
-        self.rows = len(keys if fine is None else fine)
+        self.rows, self._gens = len(keys if fine is None else fine), []
         self._coarse = dict.fromkeys(coarse)  # n -> (n, B, m), None until a pass fills it
 
     def _fine_windows(self):
@@ -310,9 +331,10 @@ class _Brownian:
         todo = {n: fine_n // n for n, sums in self._coarse.items() if sums is None}
         # a window holds whole coarse cells of every level it fills
         w = min(math.lcm(_window(B), *todo.values()), fine_n)
-        R = ROWS if fine is None else B
+        R, gens = (ROWS if fine is None else B), []
         if fine is None:
-            gens = [np.random.Generator(np.random.Philox(_Key(key))) for key in self._keys]
+            # a pass holds the pool until its last window, so no two passes share it
+            gens, self._gens = _rekey(self._gens, self._keys), []
             drawn = np.empty((min(R, B), w, m))
         sums = {n: np.empty((n, B, m)) for n in todo}
         buf = np.empty((w, B, m))
@@ -334,6 +356,7 @@ class _Brownian:
                 buf[: hi - lo, rows] = part.transpose(1, 0, 2)
             if hi == fine_n:  # a reader may stop at the last window
                 self._coarse.update(sums)
+                self._gens = gens
             yield lo, buf[: hi - lo]
 
     def windows(self, n: int):
@@ -410,12 +433,15 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     bit ``make_path_draw(base_seed, paths[b], ...)``, at every level.
 
     The Brownian, jump and init keys come from one ``_philox_keys`` call; one
-    Philox generator is reset to each jump and init key in turn, the state of
-    a fresh ``StreamKey(...).generator()``. So the generator passed to
-    ``jump_model.mark_sampler`` or to a callable ``x0`` is valid only during
-    that call. Brownian increments are drawn a window at a time and
-    randomizers filled, at any level, when read; the levels ``coarse`` are
-    summed from the fine windows as they are drawn.
+    Philox generator is re-keyed (``_rekey``) to each jump and init key in
+    turn, the state of a fresh ``StreamKey(...).generator()``. So the
+    generator passed to ``jump_model.mark_sampler`` or to a callable ``x0`` is
+    valid only during that call; a constant ``x0`` is tiled over the rows.
+    Brownian increments are drawn a window at a time and randomizers filled,
+    at any level, when read, each from a pool of one generator per row that
+    is re-keyed at every pass and level read; the levels ``coarse`` are
+    summed from the fine windows as they are drawn. A block builds at most
+    2·B + 1 generators, whatever its levels.
     """
     if fine_n < 1:
         raise ValueError("fine_n must be >= 1")
@@ -428,20 +454,18 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     tags, stream_levels = np.array(streams, dtype=np.int64).T
     cols = (np.repeat(np.asarray(paths), S), np.tile(tags, B), np.tile(stream_levels, B))
     keys = _philox_keys(base_seed, cols).reshape(B, S, 2)
-    gen = np.random.Generator(np.random.Philox(0))
-    fresh = gen.bit_generator.state  # counter 0, buffer_pos 4 (empty), has_uint32 0, uinteger 0
+    gens = []  # one generator, built on the first call
 
-    def stream(key):  # the generator, in a fresh one's state under ``key``
-        fresh["state"]["key"] = key
-        gen.bit_generator.state = fresh
-        return gen
+    def stream(key):  # the generator, in a fresh one's state under ``key`` (1, 2)
+        return _rekey(gens, key)[0]
 
-    path_jumps, x0s = [], []
-    for b in range(B):
-        if jumps:
-            path_jumps.append(_jumps(stream(keys[b, 1]), jump_model.intensity, horizon,
-                                     jump_model.mark_sampler))
-        x0s.append(x0(stream(keys[b, -1])) if callable(x0) else x0)
+    path_jumps = [_jumps(stream(keys[b, 1:2]), jump_model.intensity, horizon,
+                         jump_model.mark_sampler) for b in range(B)] if jumps else []
+    if callable(x0):
+        x0 = np.stack([np.atleast_1d(np.asarray(x0(stream(keys[b, -1:])), dtype=float))
+                       for b in range(B)])
+    else:
+        x0 = np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (B, 1))
     times = [np.empty(0)] + [t for t, _ in path_jumps]
     marks = [np.empty((0, jump_model.mark_dim if jump_model else 1))] + [z for _, z in path_jumps]
     brownian = _Brownian(fine_n, m, keys=keys[:, 0], sd=math.sqrt(horizon / fine_n),
@@ -449,8 +473,7 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     return BlockDraw(brownian=brownian, jump_times=np.concatenate(times),
                      jump_rows=np.repeat(np.arange(len(path_jumps)), [len(t) for t in times[1:]]),
                      jump_marks=np.concatenate(marks),
-                     phis=_Randomizers(base_seed, paths),
-                     x0=np.stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in x0s]))
+                     phis=_Randomizers(base_seed, paths), x0=x0)
 
 
 def make_path_draw(base_seed: int, path_index: int, *, fine_n: int, m: int, horizon: float,

@@ -198,12 +198,14 @@ def _jump_events(grid: TimeGrid, block: BlockDraw) -> dict:
 
 
 CHUNK = 128  # grid points per chunk of the kernel's state buffer
+SLICE = 16  # grid points per column slice of a chunk that the moment sink reduces
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of the chunks of grid points 0..n: ``CHUNK`` points
-    each, the last also taking the final point (so none is one point wide)."""
-    return [(lo, lo + CHUNK if lo + CHUNK < n else n + 1) for lo in range(0, n, CHUNK)]
+def _chunks(n: int, width: int = CHUNK) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the chunks of grid points 0..n: ``width`` points
+    each, the last also taking the final point (so none is one point wide
+    unless n is 0)."""
+    return [(lo, lo + width if lo + width < n else n + 1) for lo in range(0, max(n, 1), width)]
 
 
 def _run(

@@ -1,8 +1,9 @@
 """Bounded block memory: the same bits from fewer live copies.
 
 ``moment_probe`` frees each block before the next and reduces every level in
-column chunks. These tests pin it to the bits of the plain whole-array code
-and bound the probe's traced allocation peak.
+column chunks, each in narrow column slices. These tests pin it to the bits
+of the plain whole-array code and bound the probe's and one chunk's traced
+allocation peaks.
 """
 
 import tracemalloc
@@ -177,3 +178,41 @@ def test_moment_probe_peak_holds_one_block_of_draws(dw_model, monkeypatch):
     # and states (about 3.4 state sizes with bookkeeping); holding two blocks'
     # draws, or two levels' results, exceeds this
     assert peak < draw_bytes + 4 * state_bytes
+
+
+def _norm_sums(q: float, chunk: np.ndarray) -> np.ndarray:
+    """The sums over paths of ``np.linalg.norm(chunk, axis=-1) ** q``, whole."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.linalg.norm(chunk, axis=-1) ** q).sum(axis=0)
+
+
+def test_add_chunk_slices_give_the_bits_of_whole_chunk_norms():
+    # widths that leave no remainder, a remainder of one point (taken by the
+    # last slice) and of several; d = 9 sums each norm with numpy's unrolled loop
+    rng = np.random.default_rng(5)
+    for w in (2, 16, 17, 18, 33, 129):
+        for d in (1, 2, 9):
+            for B in (1, 2, 300):
+                buf = rng.normal(size=(B, w + 3, d)) * 10.0 ** rng.integers(-200, 200, (B, 1, d))
+                buf[0, w // 2, 0] = np.inf
+                buf[-1, -4, -1] = np.nan
+                chunk = buf[:, :w]  # the kernel hands the sink a view of its buffer
+                sums = np.zeros(w + 2)
+                _add_chunk(4.0, sums, 2, chunk)
+                want = _norm_sums(4.0, chunk)
+                assert np.array_equal(sums[2:].view(np.uint64), want.view(np.uint64))
+
+
+def test_add_chunk_makes_no_chunk_sized_temporary():
+    B, w = 2048, MOMENT_CHUNK + 1
+    chunk = np.random.default_rng(2).normal(size=(B, w, 1))
+    sums = np.zeros(w)
+    _add_chunk(4.0, sums, 0, chunk[:2, :])  # warm-up
+    tracemalloc.start()
+    try:
+        _add_chunk(4.0, sums, 0, chunk)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (B, w) array of norms alone is 2.1 MB
+    assert peak < 1 << 20

@@ -574,6 +574,21 @@ def test_sdde_config_errors_leave_no_output_directory(tmp_path, capsys, sdde, me
     assert not out.exists()
 
 
+def test_sdde_initial_segment_of_the_wrong_length_is_refused(tmp_path, capsys):
+    # a 1-d model takes a number or a one-entry list, as model.x0 does
+    sdde = {"generator": [[-3, 3], [3, -3]], "delay": 0.25, "initial_segment": [1.0, 2.0]}
+    doc = _with(_with(SMALL_STUDY, "simulate.n", 8), "simulate.sdde", sdde)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: simulate.sdde.initial_segment must be a number, got [1.0, 2.0]\n"
+    assert not out.exists()
+    doc = _with(doc, "simulate.sdde.initial_segment", [1.0])
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_OK
+
+
 def test_initial_regime_outside_the_generator_names_alpha0(tmp_path, capsys):
     doc = _with(SMALL_STUDY, "simulate.sdde", dict(SDDE, alpha0=3))
     out = tmp_path / "out"
@@ -630,6 +645,14 @@ def test_verify_range_error_names_its_key(tmp_path, capsys, key, value):
     assert main(["verify", "--config", cfg]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: verify.{key}: ") and captured.out == ""
+
+
+def test_verify_lambda_factor_is_checked_with_no_p0_values(tmp_path, capsys):
+    doc = _with(_with(SMALL_STUDY, "verify.p0_values", []), "verify.lambda_factor", 0.5)
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: verify.lambda_factor: must be > 1, got 0.5\n"
+    assert captured.out == ""
 
 
 # (a command that reads the dotted key, the key, a value of the wrong kind)

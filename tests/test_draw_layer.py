@@ -5,7 +5,8 @@ at most ``rng.WINDOW_DRAWS`` draws. These tests check the short coarse sums
 against numpy's reduction bit for bit, every window budget against the
 per-key functions (``brownian_increments``, ``coarsen``,
 ``uniform_open_closed`` on ``StreamKey(...).generator()``), and bound a study
-block's traced peak by what it must hold.
+block's traced peak by what it must hold. They also pin ``rng._rekey`` to
+fresh streams and count the generators a block builds.
 """
 
 import math
@@ -116,3 +117,52 @@ def test_study_block_peak_holds_coarse_increments_and_two_2mb_windows():
         tracemalloc.stop()
     # windows of twice that budget (1024 cells at 500 rows) exceed the bound
     assert peak < coarse_bytes + window_bytes + chunk_bytes + slack
+
+
+def _dirty(gen: np.random.Generator) -> np.random.Generator:
+    """``gen`` after draws that advance its counter, leave its buffer half used
+    and keep the high half of a word for the next uint32 draw."""
+    gen.random(5)
+    gen.integers(0, 2**32, dtype=np.uint32)
+    state = gen.bit_generator.state
+    assert state["state"]["counter"][0] > 0 and 0 < state["buffer_pos"] < 4
+    assert state["has_uint32"] == 1
+    return gen
+
+
+def _mixed_draws(gen: np.random.Generator) -> list:
+    return [gen.integers(0, 2**32, size=3, dtype=np.uint32), gen.random(7),
+            gen.standard_normal(9), gen.integers(0, 2**32, size=2, dtype=np.uint32)]
+
+
+@pytest.mark.parametrize("counter", [0, 1, 5, 1023])
+def test_rekey_of_a_dirty_generator_gives_a_fresh_stream(counter):
+    seed, paths = 2**33 + 5, [0, 7, 2**32 - 1]
+    keys = rng._philox_keys(seed, (paths, [StreamTag.RANDOMIZER] * 3, [64] * 3))
+    gens = rng._rekey([_dirty(g) for g in rng._rekey([], keys[::-1])], keys, counter)
+    for gen, i in zip(gens, paths):
+        fresh = StreamKey(seed, i, StreamTag.RANDOMIZER, 64).generator()
+        if counter:  # a stream at counter c is the per-key stream from double 4c on
+            fresh.random(4 * counter)
+        for got, want in zip(_mixed_draws(gen), _mixed_draws(fresh)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("levels", [(64, 16, 4), (1024, 512, 256, 128, 64, 32, 16)])
+def test_a_block_builds_two_generators_per_row_and_one_more(levels, monkeypatch):
+    built = []
+
+    class Philox(np.random.Philox):  # its state setter wants the class named Philox
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    B, fine_n = 37, max(levels)
+    block = make_block_draw(5, range(100, 100 + B), fine_n=fine_n, m=1, horizon=1.0,
+                            jump_model=rng.normal_marks(2.0), x0=lambda gen: gen.normal(size=1),
+                            coarse=levels)
+    for n in levels + levels[::-1]:  # every level, fine first, then each read again
+        _windows(block, n, randomized=True)
+    block.phis.window(fine_n, 4, np.empty((8, B)))  # a read that starts mid-level
+    assert len(built) <= 2 * B + 1
