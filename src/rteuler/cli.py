@@ -68,8 +68,8 @@ _STATE = _Kind("a finite number or a list of finite numbers",
 # keys stay with the constructors that check them (StudyConfig, SchemeConfig,
 # TamingConfig, the probes), whose messages ``_keyed`` names by key.
 SCHEMA = {
-    "": {"seed": (0, _at_least(_INT, 0)), "workers": (1, _INT), "out": ("out", _STR),
-         "format": ("csv", _choice(("csv", "json"))), "plot": (False, _BOOL)},
+    "": {"seed": (0, _at_least(_INT, 0)), "workers": (1, _at_least(_INT, 1)),
+         "out": ("out", _STR), "format": ("csv", _choice(("csv", "json"))), "plot": (False, _BOOL)},
     "model": {"preset": (StudyConfig.model, _STR), "params": ({}, _MAPPING),
               "x0": (StudyConfig.x0, _STATE)},
     "jumps": {"intensity": (StudyConfig.intensity, _at_least(_NUMBER, 0))},
@@ -272,22 +272,23 @@ def cmd_converge(args, config: dict) -> int:
 
 
 def _write_trajectory_csv(path: Path, traj) -> None:
-    d = traj.states.shape[1]
+    """Format and write the trajectory 1024 rows at a time, each block's times
+    by ``TimeGrid.points()``'s formula, so nothing that grows with n is made."""
+    d, rows, grid = traj.states.shape[1], len(traj.states), traj.grid
     header = ["t"] + [f"x_{i+1}" for i in range(d)]
-    columns = [traj.grid.points()[:, None], traj.states]
     fmt = ",".join(["%.17g"] * (d + 1))  # the bytes of "{:.17g}".format
     if traj.regimes is not None:
         header.append("regime")
-        columns.append(traj.regimes[:, None])
         fmt += ",%d"
-    width = len(header)
-    values = np.hstack(columns).ravel().tolist()  # regimes as exact floats, %d prints them
-    step = 1024 * width  # the values of the rows formatted with one %
-    lines = [",".join(header)] + [
-        "\n".join([fmt] * (len(part) // width)) % tuple(part)
-        for part in (values[lo : lo + step] for lo in range(0, len(values), step))
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, 1024):
+            hi = min(lo + 1024, rows)
+            columns = [(np.arange(lo, hi) * grid.horizon / grid.n)[:, None], traj.states[lo:hi]]
+            if traj.regimes is not None:
+                columns.append(traj.regimes[lo:hi, None])
+            values = np.hstack(columns).ravel().tolist()  # regimes as exact floats, %d prints them
+            fh.write("\n".join([fmt] * (hi - lo)) % tuple(values) + "\n")
 
 
 def cmd_simulate(args, config: dict) -> int:

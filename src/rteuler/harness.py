@@ -224,15 +224,29 @@ def _study_block(cfg: StudyConfig, paths: range) -> dict:
     for variant in cfg.variants:
         errs = np.empty((len(paths), len(cfg.levels)))
         for j, n in enumerate(cfg.levels):
+            # the level keeps no states: its sink reads the reference at level
+            # points first..n, at the terminal time only point n
+            ref_on_coarse, first = ref.states[:, :: factors[j] // stride], n if terminal else 0
+            diff = np.full(len(paths), -np.inf)
             lvl = simulate_paths(model, SchemeConfig(variant, n, **tame), draws, cfg.intensity,
-                                 keep=slice(-1, None) if terminal else slice(None))
-            # at the terminal time both hold one point, and the max is over it
-            ref_on_coarse = ref.states[:, :: factors[j] // stride]
-            diff = np.linalg.norm(ref_on_coarse - lvl.states, axis=-1).max(axis=1)
-            diff = np.where(ref.diverged | lvl.diverged, np.nan, diff)
-            errs[:, j] = diff
+                                 keep=slice(0), on_chunk=partial(_max_error, ref_on_coarse,
+                                                                 first, diff))
+            errs[:, j] = np.where(ref.diverged | lvl.diverged, np.nan, diff)
         out[variant] = errs
     return out
+
+
+def _max_error(ref_on_coarse: np.ndarray, first: int, diff: np.ndarray, lo: int,
+               chunk: np.ndarray):
+    """Fold into ``diff`` (B,) the max of |ref - x| over the chunk's grid points
+    from ``first`` on, ``ref_on_coarse`` holding the reference at level points
+    first, first+1, ..., n. A max is exact and passes NaN on, so over all
+    chunks this has the bits of one whole-array max."""
+    a, hi = max(lo, first), lo + chunk.shape[1]
+    if a < hi:
+        dist = np.linalg.norm(ref_on_coarse[:, a - first : hi - first] - chunk[:, a - lo :],
+                              axis=-1)
+        np.maximum(diff, dist.max(axis=1), out=diff)
 
 
 def _batch_means(values: np.ndarray, p: float) -> tuple[float, float]:
@@ -356,6 +370,7 @@ def _add_chunk(q: float, sums: np.ndarray, lo: int, chunk: np.ndarray):
             np.sqrt(powered, out=powered)
             powered **= q
             sums[lo + a : lo + b] += powered.sum(axis=0)
+            del powered  # freed before the next slice's arrays are made
 
 
 def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x0,

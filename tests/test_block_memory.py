@@ -216,3 +216,19 @@ def test_add_chunk_makes_no_chunk_sized_temporary():
         tracemalloc.stop()
     # a (B, w) array of norms alone is 2.1 MB
     assert peak < 1 << 20
+
+
+def test_add_chunk_frees_each_slice_before_the_next():
+    B, w = 2048, MOMENT_CHUNK + 1
+    chunk = np.random.default_rng(2).normal(size=(B, w, 1))
+    sums = np.zeros(w)
+    _add_chunk(4.0, sums, 0, chunk[:2, :])  # warm-up
+    tracemalloc.start()
+    try:
+        _add_chunk(4.0, sums, 0, chunk)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one slice's x * x and norms are 0.26 MB each; the last slice is 17 wide
+    # and a third, the previous slice's norms, would take the peak to 0.78 MB
+    assert peak < 0.6 * (1 << 20)

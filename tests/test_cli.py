@@ -370,7 +370,20 @@ def test_zero_workers_in_config_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL_STUDY, workers=0))
     out = tmp_path / "out"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "config error: workers must be >= 1, got 0" in capsys.readouterr().err
+    assert "config error: workers must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, in_config", [
+    ("simulate", True), ("moments", True), ("converge", False),
+])
+def test_zero_workers_is_refused_by_every_command(tmp_path, capsys, command, in_config):
+    # workers: 0 in the config, or converge's --workers 0
+    cfg = write_config(tmp_path, dict(SMALL_STUDY, workers=0) if in_config else SMALL_STUDY)
+    flag = [] if in_config else ["--workers", "0"]
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flag]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: workers must be an integer >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -485,7 +498,7 @@ def test_integer_key_rejects_a_non_integer(tmp_path, capsys, command, dotted, va
     argv = [command, "--config", write_config(tmp_path, _with(doc, dotted, value))]
     assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == EXIT_CONFIG
     kind = "a list of integers" if isinstance(value, list) else "an integer"
-    kind += " >= 1" if dotted == "verify.taming_n" else ""
+    kind += " >= 1" if dotted in ("verify.taming_n", "workers") else ""
     captured = capsys.readouterr()
     assert captured.err == f"config error: {dotted} must be {kind}, got {value!r}\n"
     assert captured.out == "" and not out.exists()
@@ -621,6 +634,44 @@ def test_trajectory_csv_has_the_bytes_of_per_row_formatting(tmp_path, d, regimes
         fmt += ",{}"
     want = [",".join(header)] + [fmt.format(*row) for row in zip(*columns)]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 1022, 1023, 1024, 2048])  # n + 1 rows around 1024-row blocks
+@pytest.mark.parametrize("d, regimes", [(1, False), (1, True), (2, False), (2, True)])
+def test_trajectory_csv_blocks_have_the_bytes_of_per_row_formatting(tmp_path, n, d, regimes):
+    from rteuler.cli import _write_trajectory_csv
+    from rteuler.scheme import Trajectory
+
+    states = np.random.default_rng(n).normal(size=(n + 1, d)) * 10.0 ** np.arange(d)
+    labels = np.arange(n + 1) % 2 + 1 if regimes else None
+    traj = Trajectory(grid=rt.TimeGrid(n, 0.7), states=states, regimes=labels)
+    _write_trajectory_csv(tmp_path / "t.csv", traj)
+    header = ",".join(["t"] + [f"x_{i+1}" for i in range(d)] + ["regime"] * regimes)
+    rows = [",".join(f"{v:.17g}" for v in [t, *x]) + (f",{r}" if regimes else "")
+            for t, x, r in zip(traj.grid.points().tolist(), states.tolist(),
+                               labels.tolist() if regimes else [None] * (n + 1))]
+    assert (tmp_path / "t.csv").read_text() == "\n".join([header, *rows]) + "\n"
+
+
+def test_trajectory_csv_writer_holds_no_whole_run_temporary(tmp_path):
+    import tracemalloc
+
+    from rteuler.cli import _write_trajectory_csv
+    from rteuler.scheme import Trajectory
+
+    n = 1 << 18
+    states = np.random.default_rng(5).normal(size=(n + 1, 1))
+    traj = Trajectory(grid=rt.TimeGrid(n, 1.0), states=states, regimes=np.arange(n + 1) % 2 + 1)
+    _write_trajectory_csv(tmp_path / "warm.csv", Trajectory(rt.TimeGrid(4), states[:5],
+                                                            traj.regimes[:5]))
+    tracemalloc.start()
+    try:
+        _write_trajectory_csv(tmp_path / "t.csv", traj)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the times alone are 2.1 MB, and the file's text about 12 MB
+    assert peak < 1 << 20
 
 
 DESK = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" /

@@ -2,17 +2,20 @@
 
 ``simulate_paths`` steps the states into chunks of grid points and keeps the
 points ``keep`` selects (all of them, the terminal one, or every f-th one) or
-hands each chunk to ``on_chunk`` (the moment reduction). Each sink's output
-must equal the matching slice or reduction of the all-points run bit for bit,
-with the same ``diverged_at``. The study reads the terminal and every-f-th
-sinks, so its bytes must not depend on the block size or the worker count,
-and its traced allocation peak must not hold a whole reference path.
+hands each chunk to ``on_chunk`` (the moment reduction, the study's errors).
+Each sink's output must equal the matching slice or reduction of the
+all-points run bit for bit, with the same ``diverged_at``. The study's
+reference reads the terminal and every-f-th sinks and its levels the error
+sink, so its bytes must not depend on the block size or the worker count,
+and its traced allocation peak must hold neither a whole reference path
+nor a level's states.
 """
 
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,26 @@ def test_study_block_peak_holds_fine_increments_and_one_level_of_randomizers():
     # a (B, N+1) reference state array adds fine_bytes, and keeping every
     # level's randomizers at once adds B * sum(levels) * 8, about 0.48 of it
     assert peak < fine_bytes + randomizer_bytes + fine_bytes // 4
+
+
+def test_max_over_grid_study_block_keeps_no_level_states():
+    B, ref_n, levels = 256, 2048, (256, 512, 1024)
+
+    def peak(error_time):
+        cfg = StudyConfig(levels=levels, reference_n=ref_n, num_paths=B, base_seed=3,
+                          error_time=error_time)
+        _study_block(replace(cfg, num_paths=2), range(2))  # warm-up
+        tracemalloc.start()
+        try:
+            _study_block(cfg, range(B))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the reference keeps every gcd(8, 4, 2) = 2nd point, 2.0 MB; the finest
+    # level's whole (B, n+1) states would add 2.0 MB and their norms' copies more
+    ref_kept = B * (ref_n // 2 + 1) * 8
+    assert peak("max_over_grid") - peak("terminal") < ref_kept + B * (max(levels) + 1) * 8 // 2
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
