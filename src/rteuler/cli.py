@@ -24,12 +24,13 @@ import yaml
 
 from . import constraints as cons
 from . import harness
+from .grid import TimeGrid
 from .harness import ERROR_TIMES, StudyConfig
 from .markov import Generator, simulate_ctmc
 from .model import DoubleWellParams, build_model, double_well_model, probe_growth
 from .plots import svg_loglog
 from .rng import StreamKey, StreamTag, make_path_draw, normal_marks
-from .scheme import (VARIANTS, DivergedPathError, SchemeConfig, simulate_path,
+from .scheme import (VARIANTS, DivergedPathError, SchemeConfig, _lag, simulate_path,
                      simulate_sdde_switching)
 from .taming import TamingConfig, check_taming_bounds
 
@@ -321,6 +322,11 @@ def cmd_simulate(args, config: dict) -> int:
                 raise ConfigError(f"{dotted} must be a mapping, got {given!r}")
             by_regime[regime] = _built(build, {**config["model"]["params"], **given},
                                        dotted, given)
+        grid = TimeGrid(n, model.horizon)
+        lag, on_grid = _lag(sdde["delay"], grid)
+        if not on_grid:  # the library would snap it to a delay not asked for
+            raise ConfigError(f"simulate.sdde.delay must be a multiple of the step "
+                              f"{grid.dt:g}, got {sdde['delay']!r} (nearest {lag * grid.dt:g})")
     out = _out_dir(config)
 
     draw = make_path_draw(seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,

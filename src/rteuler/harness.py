@@ -70,6 +70,10 @@ class StudyConfig:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        for name in ("levels", "p_list", "variants"):  # a repeat would be run and counted twice
+            given = getattr(self, name)
+            if len(set(given)) < len(given):
+                raise ValueError(f"{name} must hold distinct entries, got {list(given)}")
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive step counts")
         if self.reference_n <= max(self.levels):
@@ -381,6 +385,8 @@ def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x
     n_list = [int(n) for n in n_list]
     if not n_list or min(n_list) < 1:
         raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"n_list must hold distinct entries, got {n_list}")
     if num_paths < 1:
         raise ValueError(f"num_paths must be >= 1, got {num_paths}")
     fine = max(n_list)
@@ -474,9 +480,10 @@ def taming_gap_probe(
     The drift gap is evaluated at the randomized drift times, diffusion and
     jump gaps at left endpoints, all along simulated tamed trajectories; each
     row averages over paths and steps (the jump gap over every ``stride``-th
-    pair of the run), added up chunk by chunk as the kernel steps. The fitted
-    exponents are the decay slopes of log2(gap) against log2(dt). For untamed
-    variants every gap is identically zero and no exponent is fitted.
+    pair of the run), added up one column slice of a chunk at a time as the
+    kernel steps. The fitted exponents are the decay slopes of log2(gap)
+    against log2(dt). For untamed variants every gap is identically zero and
+    no exponent is fitted.
     """
     if p0 < 2:
         raise ValueError("p0 must be >= 2")
@@ -497,7 +504,13 @@ def taming_gap_probe(
         first = np.arange(paths.start, paths.stop)[:, None] * n  # each path's first pair
 
         def add(lo: int, chunk: np.ndarray):
-            x = chunk[:, : n - lo]  # the left points: the last chunk also holds t_n
+            # the left points (the last chunk also holds t_n) in slices of SLICE
+            # points from multiples of SLICE, as every chunk width is one: each
+            # slice's sums add the same gaps in the same order whatever the width
+            for a in range(lo, min(lo + chunk.shape[1], n), SLICE):
+                add_slice(a, chunk[:, a - lo : min(a + SLICE, n) - lo])
+
+        def add_slice(lo: int, x: np.ndarray):
             w = x.shape[1]
             t = points[:, lo : lo + w]
             t_drift = grid.xis(phis[n][:, lo : lo + w].T, lo).T[..., None] if randomized else t

@@ -197,8 +197,19 @@ def _jump_events(grid: TimeGrid, block: BlockDraw) -> dict:
     return {int(cells[lo]): (rows[lo:hi], marks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
 
 
-CHUNK = 128  # grid points per chunk of the kernel's state buffer
+CHUNK = 128  # most grid points per chunk of the kernel's state buffer
+CHUNK_STATES = 1 << 15  # most states (rows x width x d) per chunk: 256 KB of float64
 SLICE = 16  # grid points per column slice of a chunk that the moment sink reduces
+
+
+def _chunk_width(states: int) -> int:
+    """Grid points per chunk for ``states`` = rows x d per point: ``CHUNK``,
+    halved while the chunk would hold more than ``CHUNK_STATES`` states, down
+    to ``SLICE``; so every width is a multiple of ``SLICE``."""
+    w = CHUNK
+    while w > SLICE and w * states > CHUNK_STATES:
+        w //= 2
+    return w
 
 
 def _chunks(n: int, width: int = CHUNK) -> list[tuple[int, int]]:
@@ -225,9 +236,10 @@ def _run(
     one's dimensions and horizon; cell 1's model must return a (B, d) drift
     and a (B, d, m) diffusion, which is checked once, before any cell. The
     draws come in the block's time-major windows, so each step reads one
-    contiguous row of them. The states are stepped into ``_chunks``; of
-    each, the points ``keep`` selects go to the result and ``on_chunk(lo,
-    chunk)`` gets all its (B, hi-lo, d) states.
+    contiguous row of them. The states are stepped into ``_chunks`` of
+    ``_chunk_width(B * d)`` points; of each, the points ``keep`` selects go
+    to the result and ``on_chunk(lo, chunk)`` gets all its (B, hi-lo, d)
+    states.
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
@@ -243,7 +255,8 @@ def _run(
     kept = range(n + 1)[keep]  # ascending: a slice with a positive step
     states = np.empty((B, len(kept), d))
     whole = keep == slice(None)  # then each chunk is a view of ``states``
-    buf = states if whole else np.empty((B, min(n, CHUNK) + 1, d))
+    width = _chunk_width(B * d)
+    buf = states if whole else np.empty((B, min(n, width) + 1, d))
     buf[:, 0] = x = block.x0  # the first chunk's point 0
     diverged_at, dt = np.full(B, -1), grid.dt
     windows = block.windows(n, randomized)
@@ -255,7 +268,7 @@ def _run(
             if got != want:
                 raise ValueError(f"{name} returns shape {got} for states of shape {x.shape}, "
                                  f"expected {want}")
-        for lo, hi in _chunks(n):
+        for lo, hi in _chunks(n, width):
             chunk = buf[:, lo:hi] if whole else buf[:, : hi - lo]
             for k in range(max(lo, 1), hi):
                 if k > w_hi:
@@ -322,6 +335,13 @@ def simulate_path(
     return _single(res, TimeGrid(cfg.n, model.horizon))
 
 
+def _lag(delay: float, grid: TimeGrid) -> tuple[int, bool]:
+    """The whole number of steps of ``grid`` nearest the delay, and whether
+    it is the delay up to a relative 1e-12 (if not, it is a snap)."""
+    lag = int(round(delay / grid.dt))
+    return lag, abs(lag * grid.dt - delay) <= 1e-12 * max(grid.dt, 1.0)
+
+
 def simulate_sdde_switching(
     models_by_regime: dict[int, CoefficientSet],
     cfg: SchemeConfig,
@@ -347,8 +367,8 @@ def simulate_sdde_switching(
     if chain.horizon < some.horizon:
         raise ValueError("regime chain must cover the full horizon")
 
-    lag = int(round(delay / grid.dt))
-    if abs(lag * grid.dt - delay) > 1e-12 * max(grid.dt, 1.0):
+    lag, on_grid = _lag(delay, grid)
+    if not on_grid:
         log.warning(
             "delay %g is not a multiple of dt=%g; snapped to %g",
             delay, grid.dt, lag * grid.dt,

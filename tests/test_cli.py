@@ -542,7 +542,8 @@ def test_model_params_must_be_a_mapping(tmp_path, capsys):
 @pytest.mark.parametrize("params", [{"beta_hat": 1}, {"beta_hat": 0.75, "p_exp": 600}])
 def test_int_and_float_model_params_run(tmp_path, params):
     doc = _with(SMALL_STUDY, "model.params", params)
-    doc = _with(doc, "simulate.sdde", dict(SDDE, params_by_regime={2: params}))
+    # SMALL_STUDY steps n = 4 cells of 0.25: a delay of one cell is on the grid
+    doc = _with(doc, "simulate.sdde", dict(SDDE, delay=0.25, params_by_regime={2: params}))
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
         == EXIT_OK
@@ -610,6 +611,37 @@ def test_initial_regime_outside_the_generator_names_alpha0(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "config error: simulate.sdde.alpha0 must be a regime 1..2, got 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, dotted, value", [
+    ("converge", "study.levels", [16, 16, 32, 64]),
+    ("converge", "study.p_list", [2, 2]),
+    ("converge", "study.variants", ["tamed", "classical", "tamed"]),
+    ("moments", "moments.n_list", [64, 64, 128]),
+])
+def test_repeated_list_entries_are_config_errors(tmp_path, capsys, command, dotted, value):
+    # a repeat would be stepped, fitted or written twice
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, _with(SMALL_STUDY, dotted, value))]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {dotted} must hold distinct entries, got {value!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_sdde_delay_off_the_grid_is_refused_before_any_output(tmp_path, capsys, caplog):
+    # at n = 64 the library would snap 0.01 to one step, 0.015625: a delay 56% longer
+    doc = _with(_with(SMALL_STUDY, "simulate.n", 64), "simulate.sdde",
+                {"generator": [[-1, 1], [1, -1]], "delay": 0.01})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: simulate.sdde.delay must be a multiple of "
+                                       "the step 0.015625, got 0.01 (nearest 0.015625)\n")
+    assert not out.exists() and "snapped" not in caplog.text
+    doc = _with(doc, "simulate.sdde.delay", 0.015625)
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_OK
 
 
 @pytest.mark.parametrize("d, regimes", [(1, False), (2, True)])

@@ -27,7 +27,7 @@ from rteuler import harness
 from rteuler.cli import main
 from rteuler.harness import StudyConfig, _add_chunk, _study_block, strong_error_study
 from rteuler.rng import make_block_draw
-from rteuler.scheme import CHUNK, SchemeConfig, _chunks
+from rteuler.scheme import CHUNK, SLICE, SchemeConfig, _chunk_width, _chunks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,7 +85,7 @@ def test_every_sink_equals_all_points_run(B, n, case):
 
     moments = rt.simulate_paths(model, cfg, block, 2.0, keep=slice(0), on_chunk=reduce)
     assert moments.states.shape == (B, 0, 1)
-    assert seen == _chunks(n)
+    assert seen == _chunks(n, _chunk_width(B))
     want_sums, want_bad = _whole_array_sums(full.states, 4.0)
     assert _bits(sums[~want_bad]) == _bits(want_sums[~want_bad])
     assert not np.isfinite(sums[want_bad]).any()
@@ -103,10 +103,11 @@ def test_every_sink_equals_all_points_run(B, n, case):
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 1024])
 def test_chunks_cover_the_grid_and_none_is_one_point_wide(n):
-    bounds = _chunks(n)
-    assert bounds[0][0] == 0 and bounds[-1][1] == n + 1
-    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-    assert all(2 <= hi - lo <= CHUNK + 1 for lo, hi in bounds)
+    for width in (SLICE, 32, 64, CHUNK):  # every width _chunk_width gives
+        bounds = _chunks(n, width)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        assert all(2 <= hi - lo <= width + 1 for lo, hi in bounds)
 
 
 def _small_study(error_time, **kw):
