@@ -1,9 +1,10 @@
 """Batch front door: config loading, subcommands, CSV/JSON/SVG emission.
 
 Configuration lives in a single YAML file with nested sections: ``SCHEMA``
-declares every key with its default and kind, and ``FLAGS`` the key each CLI
-flag overrides. All outputs are pure functions of (config bytes, seed): rerunning
-a command reproduces identical artifacts; the worker count only changes scheduling.
+declares every key with its default and kind, and ``FLAGS`` every CLI flag with
+the key it overrides and its argparse type and help. All outputs are pure
+functions of (config bytes, seed): rerunning a command reproduces identical
+artifacts; the worker count only changes scheduling.
 
 Exit codes: 0 ok, 2 config error, 3 divergence threshold exceeded.
 """
@@ -95,15 +96,32 @@ SCHEMA = {
                "lambda_factor": (1.001, _NUMBER), "taming_n": (256, _at_least(_INT, 1))},
 }
 
-# subcommand -> flag -> the dotted config key it overrides when given
+_SEED = ("seed", {"type": int, "help": "base seed (overrides config)"})
+_OUT = ("out", {"help": "output directory"})  # the flag of every command with an output directory
+_PATHS = {"type": int, "help": "number of Monte Carlo paths"}
+
+# subcommand -> (its help, flag -> (the dotted config key the flag overrides
+# when given, or None, and its add_argument keywords)); each also takes --config
 FLAGS = {
-    "converge": {"seed": "seed", "out": "out", "variant": "study.variants", "plot": "plot",
-                 "paths": "study.num_paths", "levels": "study.levels", "ref": "study.reference_n",
-                 "format": "format", "workers": "workers"},
-    "simulate": {"seed": "seed", "out": "out", "variant": "simulate.variant", "n": "simulate.n"},
-    "verify": {},
-    "moments": {"seed": "seed", "out": "out", "variant": "moments.variant",
-                "paths": "moments.num_paths"},
+    "converge": ("coupled-ladder strong error study", {
+        "seed": _SEED, "out": _OUT, "variant": ("study.variants", {"help": "scheme variant"}),
+        "paths": ("study.num_paths", _PATHS),
+        "levels": ("study.levels", {"type": lambda text: [int(v) for v in text.split(",") if v],
+                                    "help": "comma-separated step counts"}),
+        "ref": ("study.reference_n", {"type": int, "help": "reference step count"}),
+        "format": ("format", {"choices": ("csv", "json")}),
+        "workers": ("workers", {"type": int, "help": "worker processes"}),
+        # None when absent, so the switch can only turn plotting on
+        "plot": ("plot", {"action": "store_true", "default": None,
+                          "help": "also write errors.svg"})}),
+    "simulate": ("dump one trajectory as CSV", {
+        "seed": _SEED, "out": _OUT, "variant": ("simulate.variant", {"help": "scheme variant"}),
+        "n": ("simulate.n", {"type": int, "help": "step count"})}),
+    "verify": ("parameter constraint table",  # its --out names a file, for no config key
+               {"out": (None, {"help": "also write the table to this file"})}),
+    "moments": ("empirical moment-boundedness probe", {
+        "seed": _SEED, "out": _OUT, "variant": ("moments.variant", {"help": "scheme variant"}),
+        "paths": ("moments.num_paths", _PATHS)}),
 }
 
 
@@ -170,9 +188,9 @@ def load_config(path: str | None) -> dict:
 def _apply_flags(config: dict, args) -> None:
     """Override each config key from its flag in ``FLAGS``, if the flag was
     given, checking the value as ``_checked`` checks the file's."""
-    for flag, dotted in FLAGS[args.command].items():
+    for flag, (dotted, _keywords) in FLAGS[args.command][1].items():
         value = getattr(args, flag)
-        if value is None:
+        if dotted is None or value is None:
             continue
         section, _, key = dotted.rpartition(".")
         if isinstance(SCHEMA[section][key][0], (list, tuple)) and not isinstance(value, list):
@@ -414,48 +432,16 @@ def cmd_moments(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rteuler",
-        description="Randomized tamed Euler schemes and strong-error studies",
-    )
+        prog="rteuler", description="Randomized tamed Euler schemes and strong-error studies")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (text, flags) in FLAGS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="YAML config file")
-        p.add_argument("--seed", type=int, help="base seed (overrides config)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--variant", help="scheme variant")
-
-    p = sub.add_parser("converge", help="coupled-ladder strong error study")
-    common(p)
-    p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    p.add_argument("--levels", type=_int_list, help="comma-separated step counts")
-    p.add_argument("--ref", type=int, help="reference step count")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--workers", type=int, help="worker processes")
-    # None when absent, so the switch can only turn plotting on
-    p.add_argument("--plot", action="store_true", default=None, help="also write errors.svg")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("simulate", help="dump one trajectory as CSV")
-    common(p)
-    p.add_argument("--n", type=int, help="step count")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="parameter constraint table")
-    p.add_argument("--config", help="YAML config file")
-    p.add_argument("--out", help="also write the table to this file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("moments", help="empirical moment-boundedness probe")
-    common(p)
-    p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    p.set_defaults(func=cmd_moments)
+        for flag, (_dotted, keywords) in flags.items():
+            p.add_argument(f"--{flag}", **keywords)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
@@ -466,7 +452,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         _apply_flags(config, args)
-        if "out" in FLAGS[args.command]:
+        if _OUT in FLAGS[args.command][1].values():
             out = Path(config["out"])
             missing = [path for path in (out, *out.parents) if not path.exists()]
         return args.func(args, config)

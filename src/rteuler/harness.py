@@ -47,6 +47,11 @@ STUDY_BLOCK_SIZE = 1000  # most paths of a study block; fewer when that gives ea
 MOMENT_BLOCK_SIZE = 2048  # paths of a probe block (moment_probe, taming_gap_probe)
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: what a step or path count must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a convergence study needs; a pure function of this config
@@ -70,6 +75,11 @@ class StudyConfig:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        if not all(map(_is_int, self.levels)):  # a float or bool count fails deep in numpy
+            raise ValueError(f"levels must hold integers, got {list(self.levels)}")
+        for name in ("reference_n", "num_paths"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("levels", "p_list", "variants"):  # a repeat would be run and counted twice
             given = getattr(self, name)
             if len(set(given)) < len(given):
@@ -382,7 +392,12 @@ def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x
     """Both probes' front end: checks their arguments and returns ``n_list`` as
     ints and, per ``MOMENT_BLOCK_SIZE`` block, n -> ``level(paths, draws, cfg,
     intensity)``, finest level first (its pass sums the coarser levels' draws)."""
-    n_list = [int(n) for n in n_list]
+    n_list = list(n_list)
+    if not all(map(_is_int, n_list)):  # not int(n), which would run 16.7 as 16
+        raise ValueError(f"n_list must hold integers, got {n_list}")
+    if not _is_int(num_paths):
+        raise ValueError(f"num_paths must be an integer, got {num_paths!r}")
+    n_list = [int(n) for n in n_list]  # numpy integers as ints
     if not n_list or min(n_list) < 1:
         raise ValueError(f"n_list must be nonempty step counts >= 1, got {n_list}")
     if len(set(n_list)) < len(n_list):

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 import yaml
 
 import rteuler as rt
-from rteuler.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from rteuler.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, FLAGS, _apply_flags,
+                         build_parser, load_config, main)
 
 SMALL_STUDY = {
     "model": {
@@ -798,3 +800,49 @@ def test_value_of_the_wrong_kind_is_refused_before_anything_runs(tmp_path, monke
     assert captured.err.startswith(f"config error: {dotted} must be ")
     assert captured.err.endswith(f", got {value!r}\n") and captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
+# dotted key -> (its flag's command-line value, or None for a switch; the value the key then holds)
+FLAG_VALUES = {"seed": ("3", 3), "out": ("elsewhere", "elsewhere"), "format": ("json", "json"),
+               "workers": ("2", 2), "plot": (None, True),
+               "study.variants": ("classical", ["classical"]), "study.num_paths": ("5", 5),
+               "study.levels": ("8,16,32", [8, 16, 32]), "study.reference_n": ("64", 64),
+               "simulate.variant": ("classical", "classical"), "simulate.n": ("7", 7),
+               "moments.variant": ("classical", "classical"), "moments.num_paths": ("5", 5)}
+KEYED_FLAGS = [(command, flag, dotted) for command, (_help, flags) in FLAGS.items()
+               for flag, (dotted, _keywords) in flags.items() if dotted]
+
+
+def _subparsers():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_parser_has_exactly_the_subcommands_of_flags():
+    assert list(_subparsers()) == list(FLAGS)
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_each_subcommand_parses_exactly_its_flags(command):
+    options = {o for a in _subparsers()[command]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--config", *(f"--{flag}" for flag in FLAGS[command][1])}
+
+
+@pytest.mark.parametrize("command, flag, dotted", KEYED_FLAGS)
+def test_each_keyed_flag_lands_on_its_key_with_its_parsed_type(command, flag, dotted):
+    text, want = FLAG_VALUES[dotted]
+    args = build_parser().parse_args([command, f"--{flag}"] + ([] if text is None else [text]))
+    config, expected = load_config(None), load_config(None)
+    _apply_flags(config, args)
+    section, _, key = dotted.rpartition(".")
+    got = (config[section] if section else config)[key]
+    assert got == want and type(got) is type(want)
+    (expected[section] if section else expected)[key] = want
+    assert config == expected  # no other key moved
+
+
+def test_unkeyed_flags_override_nothing(tmp_path):
+    args = build_parser().parse_args(["verify", "--out", str(tmp_path / "table.txt")])
+    config = load_config(None)
+    _apply_flags(config, args)
+    assert config == load_config(None)

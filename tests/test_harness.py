@@ -57,6 +57,25 @@ def test_study_config_validation():
         StudyConfig(error_time="weak")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"levels": (8.0, 16, 32), "reference_n": 64},
+     r"^levels must hold integers, got \[8.0, 16, 32\]"),
+    ({"levels": (True, 2, 4), "reference_n": 8}, "^levels must hold integers"),
+    ({"levels": (8, 16, 32), "reference_n": 64.0}, "^reference_n must be an integer, got 64.0"),
+    ({"num_paths": 4.5}, "^num_paths must be an integer, got 4.5"),
+    ({"num_paths": True}, "^num_paths must be an integer, got True"),
+])
+def test_study_config_refuses_counts_that_are_not_integers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        StudyConfig(**kwargs)
+
+
+def test_study_config_takes_numpy_integer_counts():
+    cfg = StudyConfig(levels=tuple(np.array([8, 16])), reference_n=np.int64(64),
+                      num_paths=np.int64(4))
+    assert cfg.levels == (8, 16) and cfg.reference_n == 64 and cfg.num_paths == 4
+
+
 @pytest.mark.parametrize("intensity", [math.nan, math.inf, -1.0])
 def test_bad_jump_intensity_rejected_where_it_enters(intensity):
     with pytest.raises(ValueError, match="^intensity must be a finite number >= 0"):
@@ -208,11 +227,23 @@ def test_worker_count_rejected_at_the_argument():
     ([0, 16], 4, "^n_list must be nonempty"),
     ([16, 24], 4, "^n_list entries must divide"),
     ([8, 16], 0, "^num_paths must be >= 1"),
+    ([16.7, 32.2], 4, r"^n_list must hold integers, got \[16.7, 32.2\]"),  # not run as 16, 32
+    ([16.0, 32], 4, "^n_list must hold integers"),
+    ([True, 2], 4, "^n_list must hold integers"),
+    ([8, 16], 5.5, "^num_paths must be an integer, got 5.5"),
+    ([8, 16], True, "^num_paths must be an integer, got True"),
 ])
 def test_probes_reject_bad_levels_and_path_counts(dw_model, n_list, num_paths, message):
     for probe in (moment_probe, taming_gap_probe):
         with pytest.raises(ValueError, match=message):
             probe(dw_model, "randomized_tamed", n_list, 2.0, num_paths)
+
+
+def test_probes_take_numpy_integer_counts(dw_model):
+    given = moment_probe(dw_model, "randomized_tamed", np.array([8, 16]), 2.0, np.int64(4))
+    plain = moment_probe(dw_model, "randomized_tamed", [8, 16], 2.0, 4)
+    assert [type(r.n) for r in given.rows] == [int, int]
+    assert given == plain
 
 
 def test_gap_probe_zero_for_untamed(dw_model, jumps_unit):
