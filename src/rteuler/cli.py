@@ -25,19 +25,25 @@ import yaml
 
 from . import constraints as cons
 from . import harness
-from .grid import TimeGrid
 from .harness import ERROR_TIMES, StudyConfig
 from .markov import Generator, simulate_ctmc
-from .model import DoubleWellParams, build_model, double_well_model, probe_growth
+from .model import DoubleWellParams, build_model, probe_growth
 from .plots import svg_loglog
 from .rng import StreamKey, StreamTag, make_path_draw, normal_marks
-from .scheme import (VARIANTS, DivergedPathError, SchemeConfig, _lag, simulate_path,
+from .scheme import (VARIANTS, DivergedPathError, SchemeConfig, simulate_path,
                      simulate_sdde_switching)
 from .taming import TamingConfig, check_taming_bounds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+
+# numpy's Poisson sampler refuses a mean above this with "lam value too large"
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+# simulate holds its one path whole: measured at d = m = 1, about 48 bytes a step
+# (55 with sdde), which 8 * (d + m + 5) bounds. A path needing more than 2 GiB,
+# 38 million steps at d = m = 1, is refused before any array is made
+_SIMULATE_BYTES = 2 << 30
 
 # what a config value must be: ``text`` ends "<key> must be ...", ``test`` accepts one
 _Kind = NamedTuple("_Kind", [("text", str), ("test", Callable[[object], bool])])
@@ -96,6 +102,16 @@ SCHEMA = {
                "lambda_factor": (1.001, _NUMBER), "taming_n": (256, _at_least(_INT, 1))},
 }
 
+
+def _levels(text: str) -> list[int]:
+    """``--levels``' value: comma-separated step counts; argparse prints the error."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"study.levels must be comma-separated integers, got {text!r}") from None
+
+
 _SEED = ("seed", {"type": int, "help": "base seed (overrides config)"})
 _OUT = ("out", {"help": "output directory"})  # the flag of every command with an output directory
 _PATHS = {"type": int, "help": "number of Monte Carlo paths"}
@@ -106,8 +122,7 @@ FLAGS = {
     "converge": ("coupled-ladder strong error study", {
         "seed": _SEED, "out": _OUT, "variant": ("study.variants", {"help": "scheme variant"}),
         "paths": ("study.num_paths", _PATHS),
-        "levels": ("study.levels", {"type": lambda text: [int(v) for v in text.split(",") if v],
-                                    "help": "comma-separated step counts"}),
+        "levels": ("study.levels", {"type": _levels, "help": "comma-separated step counts"}),
         "ref": ("study.reference_n", {"type": int, "help": "reference step count"}),
         "format": ("format", {"choices": ("csv", "json")}),
         "workers": ("workers", {"type": int, "help": "worker processes"}),
@@ -210,17 +225,20 @@ def _built(factory, params: dict, dotted: str, given: dict | None = None):
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
-def _model(config: dict, states: dict | None = None):
-    """The config's model; ``model.x0``, and each value of ``states`` (dotted
-    key -> value) that is not None, must be a number, or for a d-dimensional
-    state a list of d numbers."""
-    model = config["model"]
+def _model(config: dict):
+    """The config's model; ``model.x0`` must be a number, or for a
+    d-dimensional state a list of d numbers, and a path's jump count,
+    Poisson(``jumps.intensity`` x horizon), must be one numpy can draw."""
+    model, x0, intensity = config["model"], config["model"]["x0"], config["jumps"]["intensity"]
     built = _built(partial(build_model, model["preset"]), model["params"], "model.params")
     d = built.dim_state
-    for dotted, state in {"model.x0": model["x0"], **(states or {})}.items():
-        if state is not None and len(state if isinstance(state, list) else [state]) != d:
-            want = "a number" if d == 1 else f"a list of {d} numbers"
-            raise ConfigError(f"{dotted} must be {want}, got {state!r}")
+    if len(x0 if isinstance(x0, list) else [x0]) != d:
+        want = "a number" if d == 1 else f"a list of {d} numbers"
+        raise ConfigError(f"model.x0 must be {want}, got {x0!r}")
+    if intensity * built.horizon > _POISSON_MAX:
+        raise ConfigError(f"jumps.intensity must be at most {_POISSON_MAX / built.horizon:g}, "
+                          f"numpy's Poisson limit over the horizon {built.horizon:g}, "
+                          f"got {intensity!r}")
     return built
 
 
@@ -313,13 +331,17 @@ def _write_trajectory_csv(path: Path, traj) -> None:
 def cmd_simulate(args, config: dict) -> int:
     sec, x0, seed = config["simulate"], config["model"]["x0"], config["seed"]
     n, intensity, sdde = sec["n"], config["jumps"]["intensity"], sec["sdde"]
-    model = _model(config, sdde and {"simulate.sdde.initial_segment": sdde["initial_segment"]})
+    model = _model(config)
     try:
         cfg = SchemeConfig(sec["variant"], n, **config["taming"])
     except ValueError as exc:
         raise _keyed("simulate", exc) from exc
+    per_step = 8 * (model.dim_state + model.dim_noise + 5)
+    if n > _SIMULATE_BYTES // per_step:
+        raise ConfigError(f"simulate.n must be at most {_SIMULATE_BYTES // per_step}, got {n}: "
+                          f"the path is held whole, at {per_step} bytes a step, within 2 GiB")
 
-    if sdde:  # built and checked before the output directory is made
+    if sdde:  # the chain and the regimes' models, built before the output directory is made
         try:
             gen = Generator(sdde["generator"])
             chain = simulate_ctmc(
@@ -340,12 +362,7 @@ def cmd_simulate(args, config: dict) -> int:
                 raise ConfigError(f"{dotted} must be a mapping, got {given!r}")
             by_regime[regime] = _built(build, {**config["model"]["params"], **given},
                                        dotted, given)
-        grid = TimeGrid(n, model.horizon)
-        lag, on_grid = _lag(sdde["delay"], grid)
-        if not on_grid:  # the library would snap it to a delay not asked for
-            raise ConfigError(f"simulate.sdde.delay must be a multiple of the step "
-                              f"{grid.dt:g}, got {sdde['delay']!r} (nearest {lag * grid.dt:g})")
-    out = _out_dir(config)
+    out = _out_dir(config)  # main removes it if the library refuses the delay or segment
 
     draw = make_path_draw(seed, 0, fine_n=n, m=model.dim_noise, horizon=model.horizon,
                           levels=[n], jump_model=normal_marks(intensity), x0=x0)
@@ -360,7 +377,7 @@ def cmd_simulate(args, config: dict) -> int:
         print(f"path diverged at step {exc.step_index}", file=sys.stderr)
         return EXIT_DIVERGED
     except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise (_keyed("simulate.sdde", exc) if sdde else ConfigError(str(exc))) from exc
     _write_trajectory_csv(out / "trajectory.csv", traj)
     print(f"wrote {out}/trajectory.csv", file=sys.stderr)
     return EXIT_OK
@@ -372,7 +389,8 @@ def cmd_verify(args, config: dict) -> int:
         raise ConfigError(
             f"model.preset is {preset!r}; verify checks the double-well constraints only"
         )
-    dw = _built(lambda given: DoubleWellParams(**given), params, "model.params")
+    model = _built(partial(build_model, preset), params, "model.params")
+    dw = DoubleWellParams(**params)  # the params build_model has just accepted
     n, hats = sec["taming_n"], (dw.beta_hat, dw.sigma_hat, dw.gamma_hat)
     if not sec["lambda_factor"] > 1.0:  # checked before the loops, which may be empty
         raise ConfigError(f"verify.lambda_factor: must be > 1, got {sec['lambda_factor']!r}")
@@ -384,7 +402,6 @@ def cmd_verify(args, config: dict) -> int:
         key = {"q": "q_values", "p0": "p0_values"}.get(str(exc).partition(" ")[0])
         raise ConfigError(f"verify.{key}: {exc}" if key else f"bad verify config: {exc}") from exc
 
-    model = double_well_model(dw)
     bounds = check_taming_bounds(model, TamingConfig(n=n, zeta=model.zeta, **config["taming"]))
     lines.append(
         f"taming bounds[n={n}]          ratio<=1: {bounds.ratio_violations} violations; "

@@ -11,6 +11,7 @@ coefficients enters only through the ``env`` argument.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -223,14 +224,25 @@ def register_model(name: str, factory: Callable[..., CoefficientSet]) -> None:
 
 
 def build_model(name: str, params: dict | None = None) -> CoefficientSet:
+    """The preset ``name`` built from ``params``; a param its factory's
+    signature does not name is refused, unless the factory takes ``**kwargs``."""
     if name not in _MODEL_REGISTRY:
         known = ", ".join(sorted(_MODEL_REGISTRY))
         raise KeyError(f"unknown model preset {name!r} (known: {known})")
-    return _MODEL_REGISTRY[name](**(params or {}))
+    factory, params = _MODEL_REGISTRY[name], params or {}
+    known = inspect.signature(factory).parameters
+    unknown = [key for key in params if key not in known]
+    if unknown and all(p.kind is not p.VAR_KEYWORD for p in known.values()):
+        raise TypeError(f"{unknown[0]} is not a parameter of model {name!r} "
+                        f"(known: {', '.join(known)})")
+    return factory(**params)
 
 
 def _double_well(**kw) -> CoefficientSet:  # module-level, so worker processes can unpickle it
     return double_well_model(DoubleWellParams(**kw) if kw else None)
+
+
+_double_well.__signature__ = inspect.signature(DoubleWellParams)  # its params, for build_model
 
 
 register_model("double-well", _double_well)

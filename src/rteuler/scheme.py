@@ -22,7 +22,6 @@ terms by it, bit for bit what stepping ``taming.tame``'d coefficients gives.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable
@@ -35,8 +34,6 @@ from .markov import MarkovPath
 from .model import CoefficientSet, EnvState
 from .rng import BlockDraw, PathDraw
 from .taming import TamingConfig
-
-log = logging.getLogger(__name__)
 
 VARIANTS = ("randomized_tamed", "tamed", "classical", "randomized_untamed")
 
@@ -335,11 +332,14 @@ def simulate_path(
     return _single(res, TimeGrid(cfg.n, model.horizon))
 
 
-def _lag(delay: float, grid: TimeGrid) -> tuple[int, bool]:
-    """The whole number of steps of ``grid`` nearest the delay, and whether
-    it is the delay up to a relative 1e-12 (if not, it is a snap)."""
+def _lag(delay: float, grid: TimeGrid) -> int:
+    """The delay as a whole number of steps of ``grid``, up to a relative
+    1e-12; a delay between two multiples of the step is refused."""
     lag = int(round(delay / grid.dt))
-    return lag, abs(lag * grid.dt - delay) <= 1e-12 * max(grid.dt, 1.0)
+    if abs(lag * grid.dt - delay) > 1e-12 * max(grid.dt, 1.0):
+        raise ValueError(f"delay must be a multiple of the step {grid.dt:g}, got {delay!r} "
+                         f"(nearest {lag * grid.dt:g})")
+    return lag
 
 
 def simulate_sdde_switching(
@@ -358,27 +358,23 @@ def simulate_sdde_switching(
     coefficients share the single taming denominator built from the current
     state. The delayed time for s <= delay falls before 0 and is served by
     ``initial_segment`` (a constant vector or a callable of time, indexed so
-    that segment(t) is the state at time t - delay).
+    that segment(t) is the state at time t - delay). The delay must be a whole
+    number of steps, and the segment's value, a constant's or a callable's at
+    t = 0, must have shape (d,); both are refused otherwise, never adjusted.
     """
     some = next(iter(models_by_regime.values()))
-    grid = TimeGrid(cfg.n, some.horizon)
+    grid, d = TimeGrid(cfg.n, some.horizon), some.dim_state
     if delay < 0.0:
         raise ValueError("delay must be >= 0")
     if chain.horizon < some.horizon:
         raise ValueError("regime chain must cover the full horizon")
-
-    lag, on_grid = _lag(delay, grid)
-    if not on_grid:
-        log.warning(
-            "delay %g is not a multiple of dt=%g; snapped to %g",
-            delay, grid.dt, lag * grid.dt,
-        )
-
-    if callable(initial_segment):
-        segment = initial_segment
-    else:
-        const = np.atleast_1d(np.asarray(initial_segment, dtype=float))
-        segment = lambda t: const
+    value = initial_segment(0.0) if callable(initial_segment) else initial_segment
+    if np.shape(np.atleast_1d(value)) != (d,):
+        want = "a number" if d == 1 else f"a list of {d} numbers"
+        raise ValueError(f"initial_segment must be {want}, got {value!r}")
+    lag = _lag(delay, grid)
+    const = np.atleast_1d(np.asarray(value, dtype=float))
+    segment = initial_segment if callable(initial_segment) else lambda t: const
 
     regimes = chain.regimes_at(grid.points())  # (n+1,)
     unknown = ~np.isin(regimes[:-1], list(models_by_regime))

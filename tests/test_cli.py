@@ -846,3 +846,88 @@ def test_unkeyed_flags_override_nothing(tmp_path):
     config = load_config(None)
     _apply_flags(config, args)
     assert config == load_config(None)
+
+
+@pytest.mark.parametrize("text", ["x", "8,x", "8.5,16"])
+def test_levels_flag_that_is_not_integers_names_study_levels(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--levels", text])
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "rteuler converge: error: argument --levels: "
+        f"study.levels must be comma-separated integers, got {text!r}")
+
+
+@pytest.mark.parametrize("command", ["converge", "moments", "simulate"])
+@pytest.mark.parametrize("intensity", [1e300, 9.3e18])
+def test_jump_intensity_beyond_numpys_poisson_limit_is_a_config_error(tmp_path, capsys,
+                                                                       command, intensity):
+    # a path's jump count is Poisson(intensity x horizon), which numpy refuses above ~9.2e18
+    doc = _with(SMALL_STUDY, "jumps.intensity", intensity)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: jumps.intensity must be at most 9.22337e+18, "
+                            f"numpy's Poisson limit over the horizon 1, got {intensity!r}\n")
+    assert captured.out == "" and not out.exists()
+
+
+KNOWN_PARAMS = "(known: beta_hat, sigma_hat, gamma_hat, p_exp)"
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "moments", "verify"])
+def test_unknown_model_param_names_its_key_and_the_known_params(tmp_path, capsys, command):
+    doc = _with(SMALL_STUDY, "model.params.bogus", 1)
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: model.params.bogus is not a parameter of model "
+                            f"'double-well' {KNOWN_PARAMS}\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_unknown_regime_param_names_its_key_and_the_known_params(tmp_path, capsys):
+    doc = _with(SMALL_STUDY, "simulate.sdde", dict(SDDE, params_by_regime={2: {"bogus": 1}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: simulate.sdde.params_by_regime.2.bogus is not a parameter of model "
+        f"'double-well' {KNOWN_PARAMS}\n")
+    assert not out.exists()
+
+
+class _Drawn(Exception):
+    pass
+
+
+def _no_draw(*args, **kwargs):
+    raise _Drawn  # a path's arrays would be allocated here
+
+
+SIMULATE_MAX_N = (2 << 30) // 56  # 8 * (d + m + 5) bytes a step for the 1-d double-well
+
+
+@pytest.mark.parametrize("sdde", [None, SDDE])
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_simulate_n_beyond_the_memory_bound_is_refused_before_any_array(
+        tmp_path, capsys, monkeypatch, sdde, how):
+    monkeypatch.setattr("rteuler.cli.make_path_draw", _no_draw)
+    n, doc = 10**12, _with(SMALL_STUDY, "simulate.sdde", sdde)
+    out = tmp_path / "out"
+    argv = ["simulate", "--out", str(out)] + (["--n", str(n)] if how == "flag" else [])
+    doc = _with(doc, "simulate.n", n) if how == "config" else doc
+    assert main(argv + ["--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: simulate.n must be at most {SIMULATE_MAX_N}, got {n}: "
+        "the path is held whole, at 56 bytes a step, within 2 GiB\n")
+    assert not out.exists()
+
+
+def test_simulate_n_at_the_memory_bound_reaches_the_draws(tmp_path, monkeypatch):
+    monkeypatch.setattr("rteuler.cli.make_path_draw", _no_draw)
+    doc = _with(SMALL_STUDY, "simulate.n", SIMULATE_MAX_N)
+    with pytest.raises(_Drawn):
+        main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])

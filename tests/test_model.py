@@ -125,6 +125,21 @@ def test_registry_round_trip():
     assert rt.build_model("custom-zero").dim_state == 1
 
 
+def test_build_model_refuses_a_param_its_factory_does_not_name():
+    with pytest.raises(TypeError) as exc:
+        rt.build_model("double-well", {"beta_hat": 1.0, "bogus": 1})
+    assert str(exc.value) == ("bogus is not a parameter of model 'double-well' "
+                              "(known: beta_hat, sigma_hat, gamma_hat, p_exp)")
+    rt.register_model("custom-scaled", lambda scale=1.0: rt.scalar_model(lambda t, x: scale * x))
+    with pytest.raises(TypeError, match=r"^size is not a parameter of model 'custom-scaled' "
+                                        r"\(known: scale\)$"):
+        rt.build_model("custom-scaled", {"size": 2.0})
+    assert rt.build_model("custom-scaled", {"scale": 2.0}).dim_state == 1
+    # a factory taking **kwargs decides its params itself
+    rt.register_model("custom-any", lambda **kw: rt.scalar_model(lambda t, x: 0 * x))
+    assert rt.build_model("custom-any", {"bogus": 1}).dim_state == 1
+
+
 def test_coefficient_set_validation():
     with pytest.raises(ValueError):
         rt.CoefficientSet(

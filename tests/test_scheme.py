@@ -267,14 +267,65 @@ def test_sdde_two_regime_piecewise_slopes():
     assert set(np.unique(traj.regimes)) == {1, 2}
 
 
-def test_sdde_delay_snapping_logged(dw_model, caplog):
+def test_sdde_delay_off_the_grid_is_refused_and_not_logged(dw_model, caplog):
+    # at n = 8 the step is 0.125: 0.3 lies between 2 and 3 steps, and is not run as 0.25
     draw = rt.make_path_draw(2, 0, fine_n=8, m=1, horizon=1.0, levels=[8],
                              x0=np.array([1.0]))
     chain = MarkovPath(np.array([]), np.array([1]), 1.0)
-    with caplog.at_level(logging.WARNING, logger="rteuler.scheme"):
+    with caplog.at_level(logging.DEBUG), pytest.raises(ValueError) as exc:
         simulate_sdde_switching({1: dw_model}, SchemeConfig("tamed", 8), draw,
                                 0.3, np.array([1.0]), chain)
-    assert any("snapped" in rec.message for rec in caplog.records)
+    assert str(exc.value) == "delay must be a multiple of the step 0.125, got 0.3 (nearest 0.25)"
+    assert caplog.records == []
+    traj = simulate_sdde_switching({1: dw_model}, SchemeConfig("tamed", 8), draw,
+                                   0.25, np.array([1.0]), chain)
+    assert np.all(np.isfinite(traj.states))
+
+
+def _plane_model():
+    """A 2-d model whose drift is its delayed state."""
+    return rt.CoefficientSet(
+        dim_state=2, dim_noise=1,
+        drift=lambda t, x, env=None: np.broadcast_to(env.delayed_state, np.shape(x)) + 0.0,
+        diffusion=lambda t, x, env=None: np.zeros(np.shape(x) + (1,)),
+        jump=lambda t, x, z, env=None: np.zeros_like(x))
+
+
+@pytest.mark.parametrize("dim, segment, got", [
+    (1, [1.0, 2.0], "[1.0, 2.0]"),
+    (1, np.array([[1.0]]), "array([[1.]])"),
+    (1, lambda t: np.array([t, t]), "array([0., 0.])"),
+    (2, 3.0, "3.0"),
+    (2, [1.0, 2.0, 3.0], "[1.0, 2.0, 3.0]"),
+    (2, lambda t: 3.0, "3.0"),
+])
+def test_sdde_initial_segment_of_the_wrong_shape_is_refused(dw_model, caplog, dim, segment,
+                                                            got):
+    # a (2,) segment would broadcast into a 1-d model's delayed state; the delay
+    # of 0 never reads the segment, which is refused all the same
+    model = dw_model if dim == 1 else _plane_model()
+    draw = rt.make_path_draw(2, 0, fine_n=8, m=1, horizon=1.0, levels=[8],
+                             x0=np.ones(dim))
+    chain = MarkovPath(np.array([]), np.array([1]), 1.0)
+    want = "a number" if dim == 1 else "a list of 2 numbers"
+    for delay in (0.0, 0.25):
+        with caplog.at_level(logging.DEBUG), pytest.raises(ValueError) as exc:
+            simulate_sdde_switching({1: model}, SchemeConfig("classical", 8), draw, delay,
+                                    segment, chain)
+        assert str(exc.value) == f"initial_segment must be {want}, got {got}"
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("segment", [[2.0, -1.0], np.array([2.0, -1.0]),
+                                     lambda t: np.array([2.0, -1.0])])
+def test_sdde_two_dimensional_segment_is_read_whole(segment):
+    # drift = delayed state; with delay = horizon the segment serves every cell
+    draw = rt.make_path_draw(1, 0, fine_n=16, m=1, horizon=1.0, levels=[16],
+                             x0=np.zeros(2))
+    chain = MarkovPath(np.array([]), np.array([1]), 1.0)
+    traj = simulate_sdde_switching({1: _plane_model()}, SchemeConfig("classical", 16), draw,
+                                   1.0, segment, chain)
+    assert np.allclose(traj.terminal, [2.0, -1.0], rtol=1e-12)
 
 
 def test_sdde_missing_regime_model_rejected(dw_model):
