@@ -40,9 +40,10 @@ EXIT_DIVERGED = 3
 
 # numpy's Poisson sampler refuses a mean above this with "lam value too large"
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
-# simulate holds its one path whole: measured at d = m = 1, about 48 bytes a step
-# (55 with sdde), which 8 * (d + m + 5) bounds. A path needing more than 2 GiB,
-# 38 million steps at d = m = 1, is refused before any array is made
+# simulate holds its one path whole: at d = m = 1 its draw takes 16 bytes a step and the
+# kernel's traced peak 16.3 more (n = 2^18), which 8 * (d + m + 5) bounds. A path needing
+# more than 2 GiB, 38 million steps at d = m = 1, is refused before any array is made, and
+# so is a block whose expected jumps need more, at 96 bytes a jump (72-88 measured)
 _SIMULATE_BYTES = 2 << 30
 
 # what a config value must be: ``text`` ends "<key> must be ...", ``test`` accepts one
@@ -225,10 +226,11 @@ def _built(factory, params: dict, dotted: str, given: dict | None = None):
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
-def _model(config: dict):
+def _model(config: dict, rows: int = 1):
     """The config's model; ``model.x0`` must be a number, or for a
-    d-dimensional state a list of d numbers, and a path's jump count,
-    Poisson(``jumps.intensity`` x horizon), must be one numpy can draw."""
+    d-dimensional state a list of d numbers. ``jumps.intensity`` must give a
+    path a Poisson jump count numpy can draw, and a block of ``rows`` paths
+    expected jumps that fit in 2 GiB."""
     model, x0, intensity = config["model"], config["model"]["x0"], config["jumps"]["intensity"]
     built = _built(partial(build_model, model["preset"]), model["params"], "model.params")
     d = built.dim_state
@@ -239,11 +241,17 @@ def _model(config: dict):
         raise ConfigError(f"jumps.intensity must be at most {_POISSON_MAX / built.horizon:g}, "
                           f"numpy's Poisson limit over the horizon {built.horizon:g}, "
                           f"got {intensity!r}")
+    if intensity * built.horizon * rows * 96 > _SIMULATE_BYTES:
+        raise ConfigError(f"jumps.intensity must be at most "
+                          f"{_SIMULATE_BYTES / (96 * built.horizon * rows):g}, got {intensity!r}: "
+                          f"the expected jumps of a {rows}-path block are held, at 96 bytes "
+                          f"each, within 2 GiB")
     return built
 
 
 def _study_config(config: dict) -> StudyConfig:
-    _model(config)  # a bad model config fails here, before any block runs
+    rows = min(config["study"]["num_paths"], harness.STUDY_BLOCK_SIZE)
+    _model(config, rows)  # a bad model config fails here, before any block runs
     model, taming = config["model"], config["taming"]
     study = {k: tuple(v) if isinstance(v, list) else v for k, v in config["study"].items()}
     try:
@@ -428,8 +436,8 @@ def cmd_verify(args, config: dict) -> int:
 
 
 def cmd_moments(args, config: dict) -> int:
-    model = _model(config)
     sec, taming = config["moments"], config["taming"]
+    model = _model(config, min(sec["num_paths"], harness.MOMENT_BLOCK_SIZE))
     out = _out_dir(config)
     try:
         table = harness.moment_probe(

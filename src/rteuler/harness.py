@@ -29,10 +29,8 @@ from .model import _MODEL_REGISTRY, CoefficientSet, build_model, register_model
 from .rng import BlockDraw, JumpModel, make_block_draw, normal_marks
 from .rng import make_path_draw  # noqa: F401  (perfbench/spans.py wraps it here by name)
 from .scheme import (
-    SLICE,
     VARIANTS,
     SchemeConfig,
-    _chunks,
     simulate_paths,
     variant_is_randomized,
     variant_is_tamed,
@@ -363,28 +361,23 @@ class MomentTable:
         return max(vals) / min(vals)
 
 
-def _add_chunk(q: float, sums: np.ndarray, lo: int, chunk: np.ndarray):
-    """Add the sums over paths of |x_k|^q of ``chunk``, the (B, w, d) states of
+def _add_chunk(q: float, sums: np.ndarray, lo: int, x: np.ndarray):
+    """Add the sums over paths of |x_k|^q of ``x``, the (B, w, d) states of
     grid points lo..lo+w-1, into ``sums`` (n+1,); a non-finite state makes its
     point's sum non-finite.
 
-    The chunk is reduced in column slices of ``SLICE`` points, the last also
-    taking the final point, with ``np.linalg.norm``'s own formula
-    ``sqrt(add.reduce(x*x, axis=-1))``; the sqrt and the power are taken in
-    place, so only (B, SLICE) arrays are made. Grid points are independent
-    and each one's sum over paths keeps its row order, so over ``_chunks``
-    the bits equal one whole-array reduction. No slice may be one column
-    wide: numpy sums a single column pairwise rather than row by row, which
-    changes the bits.
+    The norm is ``np.linalg.norm``'s own formula ``sqrt(add.reduce(x*x,
+    axis=-1))``, with the sqrt and the power taken in place. Grid points are
+    independent and each one's sum over paths keeps its row order, so over
+    the kernel's slices the bits equal one whole-array reduction. No slice is
+    one column wide: numpy sums a single column pairwise rather than row by
+    row, which changes the bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _chunks(chunk.shape[1] - 1, SLICE):
-            x = chunk[:, a:b]
-            powered = np.add.reduce(x * x, axis=-1)  # (B, b - a)
-            np.sqrt(powered, out=powered)
-            powered **= q
-            sums[lo + a : lo + b] += powered.sum(axis=0)
-            del powered  # freed before the next slice's arrays are made
+        powered = np.add.reduce(x * x, axis=-1)  # (B, w)
+        np.sqrt(powered, out=powered)
+        powered **= q
+        sums[lo : lo + x.shape[1]] += powered.sum(axis=0)
 
 
 def _probe(level, model: CoefficientSet, variant: str, n_list, num_paths: int, x0,
@@ -444,7 +437,7 @@ def moment_probe(
         raise ValueError("q must be >= 2")
 
     def level(_paths: range, draws: BlockDraw, cfg, intensity: float) -> tuple:
-        # the kernel reduces each chunk of states as it is stepped
+        # the kernel reduces each slice of states as it is stepped
         sums = np.zeros(cfg.n + 1)
         res = simulate_paths(model, cfg, draws, intensity, keep=slice(0),
                              on_chunk=partial(_add_chunk, q, sums))
@@ -495,8 +488,8 @@ def taming_gap_probe(
     The drift gap is evaluated at the randomized drift times, diffusion and
     jump gaps at left endpoints, all along simulated tamed trajectories; each
     row averages over paths and steps (the jump gap over every ``stride``-th
-    pair of the run), added up one column slice of a chunk at a time as the
-    kernel steps. The fitted exponents are the decay slopes of log2(gap)
+    pair of the run), added up one slice of states at a time as the kernel
+    steps. The fitted exponents are the decay slopes of log2(gap)
     against log2(dt). For untamed variants every gap is identically zero and
     no exponent is fitted.
     """
@@ -518,14 +511,8 @@ def taming_gap_probe(
         stride = max(1, num_paths * n // GAP_MAX_PAIRS)
         first = np.arange(paths.start, paths.stop)[:, None] * n  # each path's first pair
 
-        def add(lo: int, chunk: np.ndarray):
-            # the left points (the last chunk also holds t_n) in slices of SLICE
-            # points from multiples of SLICE, as every chunk width is one: each
-            # slice's sums add the same gaps in the same order whatever the width
-            for a in range(lo, min(lo + chunk.shape[1], n), SLICE):
-                add_slice(a, chunk[:, a - lo : min(a + SLICE, n) - lo])
-
-        def add_slice(lo: int, x: np.ndarray):
+        def add(lo: int, x: np.ndarray):
+            x = x[:, : n - lo]  # the left points: the last slice also holds t_n
             w = x.shape[1]
             t = points[:, lo : lo + w]
             t_drift = grid.xis(phis[n][:, lo : lo + w].T, lo).T[..., None] if randomized else t

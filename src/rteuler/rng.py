@@ -206,7 +206,7 @@ class PathDraw:
                 raise ValueError(f"phi array for level {n} has length {len(phi)}")
 
 
-WINDOW = 1024  # most cells per window of a block's draws; a multiple of 4 and of scheme.CHUNK
+WINDOW = 1024  # most cells per window of a block's draws; a multiple of 4 (see _Randomizers)
 WINDOW_DRAWS = 1 << 18  # most draws (cells x rows) per window: 2 MB of float64
 ROWS = 64  # rows drawn path-major at a time, then copied into a time-major window
 
@@ -391,20 +391,21 @@ class BlockDraw:
     @classmethod
     def stack(cls, draws: list[PathDraw]) -> BlockDraw:
         """The block of ``draws``, with the randomizer levels they all have,
-        each checked to lie in (0, 1]."""
+        each checked to lie in (0, 1]. One draw's arrays are viewed, not copied."""
         d0 = draws[0]
-        phis = {n: np.stack([d.phis[n] for d in draws])
+        stack = (lambda arrays: arrays[0][None]) if len(draws) == 1 else np.stack
+        phis = {n: stack([d.phis[n] for d in draws])
                 for n in d0.phis if all(n in d.phis for d in draws)}
         for n, phi in phis.items():
             if not (phi.min() > 0.0 and phi.max() <= 1.0):  # NaN fails both
                 raise ValueError(f"randomizers (phis) for level n={n} must lie in (0, 1]")
         return cls(
-            brownian=_Brownian(d0.fine_n, d0.m, fine=np.stack([d.fine_increments for d in draws])),
+            brownian=_Brownian(d0.fine_n, d0.m, fine=stack([d.fine_increments for d in draws])),
             jump_times=np.concatenate([d.jump_times for d in draws]),
             jump_rows=np.repeat(np.arange(len(draws)), [len(d.jump_times) for d in draws]),
             jump_marks=np.concatenate([d.jump_marks for d in draws]),
             phis=phis,
-            x0=np.stack([d.x0 for d in draws]),
+            x0=stack([d.x0 for d in draws]),
         )
 
     def windows(self, n: int, randomized: bool):

@@ -196,7 +196,7 @@ def _jump_events(grid: TimeGrid, block: BlockDraw) -> dict:
 
 CHUNK = 128  # most grid points per chunk of the kernel's state buffer
 CHUNK_STATES = 1 << 15  # most states (rows x width x d) per chunk: 256 KB of float64
-SLICE = 16  # grid points per column slice of a chunk that the moment sink reduces
+SLICE = 16  # grid points per slice of states that the kernel hands a sink
 
 
 def _chunk_width(states: int) -> int:
@@ -235,8 +235,8 @@ def _run(
     draws come in the block's time-major windows, so each step reads one
     contiguous row of them. The states are stepped into ``_chunks`` of
     ``_chunk_width(B * d)`` points; of each, the points ``keep`` selects go
-    to the result and ``on_chunk(lo, chunk)`` gets all its (B, hi-lo, d)
-    states.
+    to the result, and ``on_chunk(lo, states)`` gets each slice (lo, hi) of
+    ``_chunks(n, SLICE)``: its (B, hi-lo, d) states, whatever the width.
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
@@ -285,8 +285,9 @@ def _run(
                 a, b = bisect_left(kept, lo), bisect_left(kept, hi)
                 part = kept[a:b]
                 states[:, a:b] = chunk[:, part.start - lo : part.stop - lo : part.step]
-            if on_chunk is not None:
-                on_chunk(lo, chunk)
+            if on_chunk is not None:  # every width is a multiple of SLICE
+                for a, b in _chunks(hi - lo - 1, SLICE):
+                    on_chunk(lo + a, chunk[:, a:b])
     return BatchResult(states=states, diverged_at=diverged_at)
 
 

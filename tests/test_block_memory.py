@@ -1,19 +1,21 @@
 """Bounded block memory: the same bits from fewer live copies.
 
 ``moment_probe`` frees each block before the next and reduces every level in
-column chunks, each in narrow column slices. These tests pin it to the bits
-of the plain whole-array code and bound the probe's and one chunk's traced
-allocation peaks.
+the 16-point slices the kernel hands its sink. These tests pin it to the bits
+of the plain whole-array code and bound the probe's, one slice's and a
+single path's traced allocation peaks.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import rteuler as rt
-from rteuler import BatchResult, harness, make_path_draw, simulate_paths
+from rteuler import BatchResult, harness, make_path_draw, rng, scheme, simulate_path, simulate_paths
 from rteuler.harness import _add_chunk, moment_probe
-from rteuler.scheme import CHUNK as MOMENT_CHUNK, _chunks
+from rteuler.rng import make_block_draw
+from rteuler.scheme import CHUNK as MOMENT_CHUNK, SLICE, _chunks
 
 
 def _add_moments(res: BatchResult, q: float, sums: np.ndarray) -> int:
@@ -187,8 +189,8 @@ def _norm_sums(q: float, chunk: np.ndarray) -> np.ndarray:
 
 
 def test_add_chunk_slices_give_the_bits_of_whole_chunk_norms():
-    # widths that leave no remainder, a remainder of one point (taken by the
-    # last slice) and of several; d = 9 sums each norm with numpy's unrolled loop
+    # the one-pass reduction of any width the sink may be given, including the
+    # kernel's 16- and 17-point slices; d = 9 sums each norm with numpy's unrolled loop
     rng = np.random.default_rng(5)
     for w in (2, 16, 17, 18, 33, 129):
         for d in (1, 2, 9):
@@ -203,32 +205,58 @@ def test_add_chunk_slices_give_the_bits_of_whole_chunk_norms():
                 assert np.array_equal(sums[2:].view(np.uint64), want.view(np.uint64))
 
 
-def test_add_chunk_makes_no_chunk_sized_temporary():
-    B, w = 2048, MOMENT_CHUNK + 1
-    chunk = np.random.default_rng(2).normal(size=(B, w, 1))
-    sums = np.zeros(w)
-    _add_chunk(4.0, sums, 0, chunk[:2, :])  # warm-up
+def test_moment_sink_holds_one_slice_at_128_point_chunks(monkeypatch):
+    # a 2048-row moment level, its budget raised so that it steps 128-point
+    # chunks: the kernel hands the sink 16-point slices, so one slice's x * x
+    # and norms, 0.26 MB each, are all the sink makes; a whole chunk's would
+    # be 2.1 MB each
+    model, B, n = rt.double_well_model(), 2048, 256
+    monkeypatch.setattr(scheme, "CHUNK_STATES", B * MOMENT_CHUNK)
+    assert scheme._chunk_width(B) == MOMENT_CHUNK
+    block = make_block_draw(5, range(B), fine_n=n, m=1, horizon=model.horizon, x0=2.0)
+    sums, peaks = np.zeros(n + 1), []
+
+    def sink(lo, x):
+        before, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _add_chunk(4.0, sums, lo, x)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
     tracemalloc.start()
     try:
-        _add_chunk(4.0, sums, 0, chunk)
+        simulate_paths(model, rt.SchemeConfig("tamed", n), block, keep=slice(0), on_chunk=sink)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == n // SLICE
+    assert max(peaks) < 2 * B * (SLICE + 1) * 8 + (1 << 16)  # the last slice is 17 wide
+
+
+class _Cut(Exception):
+    pass
+
+
+def test_simulate_path_holds_no_second_copy_of_its_draw():
+    # the caller holds the draw (16 bytes a step: increments and randomizers);
+    # the kernel's one-row block views them. Every array that grows with n is
+    # made before cell 1, so the run is cut after four windows of cells
+    n, calls = 1 << 18, [0]
+
+    def drift(t, x):
+        calls[0] += 1
+        if calls[0] > 4 * rng.WINDOW:
+            raise _Cut
+        return -x
+
+    model = rt.scalar_model(drift, lambda t, x: 0.5 + 0.0 * x, name="ou")
+    draw = make_path_draw(3, 0, fine_n=n, m=1, horizon=model.horizon, levels=[n],
+                          jump_model=rt.normal_marks(1.0), x0=0.3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Cut):
+            simulate_path(model, rt.SchemeConfig("randomized_tamed", n), draw, 1.0)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a (B, w) array of norms alone is 2.1 MB
-    assert peak < 1 << 20
-
-
-def test_add_chunk_frees_each_slice_before_the_next():
-    B, w = 2048, MOMENT_CHUNK + 1
-    chunk = np.random.default_rng(2).normal(size=(B, w, 1))
-    sums = np.zeros(w)
-    _add_chunk(4.0, sums, 0, chunk[:2, :])  # warm-up
-    tracemalloc.start()
-    try:
-        _add_chunk(4.0, sums, 0, chunk)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one slice's x * x and norms are 0.26 MB each; the last slice is 17 wide
-    # and a third, the previous slice's norms, would take the peak to 0.78 MB
-    assert peak < 0.6 * (1 << 20)
+    # the states 8 bytes a step, the jump cells' right edges 16 while they are
+    # found; stacked copies of the draw would add 16 more
+    assert peak / n < 24

@@ -2,9 +2,10 @@
 
 ``scheme._run`` steps a block's states into chunks of ``_chunk_width(B * d)``
 grid points: ``CHUNK``, halved while a chunk would hold more than
-``CHUNK_STATES`` states, down to ``SLICE``. Every sink sees the same states
-in narrower chunks, so each output must equal the 128-point run bit for
-bit, and a wide block's chunk buffer must stay near the budget.
+``CHUNK_STATES`` states, down to ``SLICE``. Every sink gets the same
+``SLICE``-point slices of the states at any width, so each output must equal
+the 128-point run bit for bit, and a wide block's chunk buffer must stay near
+the budget.
 """
 
 import tracemalloc
@@ -102,8 +103,8 @@ def test_kept_points_and_divergence_hold_at_every_width(monkeypatch):
         out = [rt.simulate_paths(model, cfg, block, 2.0, keep=keep)
                for keep in (slice(None), slice(-1, None), slice(None, None, 3))]
         out.append(rt.simulate_paths(model, cfg, block, 2.0, keep=slice(0), on_chunk=lambda
-                                     lo, chunk: seen.append((lo, lo + chunk.shape[1]))))
-        assert seen == _chunks(n, width)
+                                     lo, x: seen.append((lo, lo + x.shape[1]))))
+        assert seen == _chunks(n, SLICE)
         return [(_bits(res.states), _bits(res.diverged_at)) for res in out]
 
     want = runs(CHUNK)
@@ -111,6 +112,25 @@ def test_kept_points_and_divergence_hold_at_every_width(monkeypatch):
     assert diverged_at.max() > CHUNK and (diverged_at < 0).any()
     for width in WIDTHS:
         assert runs(width) == want
+
+
+def test_a_sink_summing_its_whole_input_holds_its_bits_at_every_width(monkeypatch):
+    # np.nansum over all it is given, as the gap sink once summed each chunk:
+    # pairwise sums of whole chunks would round differently at each width
+    model, B, n = rt.double_well_model(), 300, 257
+    block = make_block_draw(9, range(B), fine_n=n, m=1, horizon=model.horizon,
+                            jump_model=rt.normal_marks(1.0), x0=lambda gen: gen.normal())
+
+    def total(width):
+        _at_width(monkeypatch, B, width)
+        sums = []
+        rt.simulate_paths(model, SchemeConfig("randomized_tamed", n), block, 1.0,
+                          keep=slice(0), on_chunk=lambda lo, x: sums.append(np.nansum(x)))
+        return _bits(np.array(sums))
+
+    want = total(CHUNK)
+    for width in WIDTHS:
+        assert total(width) == want
 
 
 def test_wide_level_peak_stays_near_the_chunk_budget():

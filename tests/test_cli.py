@@ -931,3 +931,40 @@ def test_simulate_n_at_the_memory_bound_reaches_the_draws(tmp_path, monkeypatch)
     doc = _with(SMALL_STUDY, "simulate.n", SIMULATE_MAX_N)
     with pytest.raises(_Drawn):
         main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+
+
+# the rows of a block each command draws at once for SMALL_STUDY: converge's
+# 40 paths in one study block, moments' 40 in one probe block, simulate's one path
+BLOCK_ROWS = {"converge": 40, "moments": 40, "simulate": 1}
+
+
+def _jump_limit(command):
+    """The largest ``jumps.intensity`` whose expected jumps for one block, at
+    96 bytes each, fit in 2 GiB (the double-well's horizon is 1)."""
+    return (2 << 30) / (96 * BLOCK_ROWS[command])
+
+
+@pytest.mark.parametrize("command", ["converge", "moments", "simulate"])
+def test_jump_intensity_whose_block_jumps_cannot_be_held_is_a_config_error(tmp_path, capsys,
+                                                                            command):
+    doc = _with(_with(SMALL_STUDY, "jumps.intensity", 1.0e15), "moments.num_paths", 40)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: jumps.intensity must be at most {_jump_limit(command):g}, "
+        f"got 1000000000000000.0: the expected jumps of a {BLOCK_ROWS[command]}-path block "
+        "are held, at 96 bytes each, within 2 GiB\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "moments", "simulate"])
+def test_jump_intensity_just_inside_the_block_bound_reaches_the_draws(tmp_path, monkeypatch,
+                                                                      command):
+    monkeypatch.setattr("rteuler.cli.make_path_draw", _no_draw)
+    monkeypatch.setattr("rteuler.harness.make_block_draw", _no_draw)
+    intensity = _jump_limit(command) * (1 - 1e-9)
+    doc = _with(_with(SMALL_STUDY, "jumps.intensity", intensity), "moments.num_paths", 40)
+    with pytest.raises(_Drawn):
+        main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])

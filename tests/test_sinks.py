@@ -2,7 +2,8 @@
 
 ``simulate_paths`` steps the states into chunks of grid points and keeps the
 points ``keep`` selects (all of them, the terminal one, or every f-th one) or
-hands each chunk to ``on_chunk`` (the moment reduction, the study's errors).
+hands each 16-point slice to ``on_chunk`` (the moment reduction, the study's
+errors).
 Each sink's output must equal the matching slice or reduction of the
 all-points run bit for bit, with the same ``diverged_at``. The study's
 reference reads the terminal and every-f-th sinks and its levels the error
@@ -79,13 +80,13 @@ def test_every_sink_equals_all_points_run(B, n, case):
     sums = np.zeros(n + 1)
     seen = []
 
-    def reduce(lo, chunk):
-        seen.append((lo, lo + chunk.shape[1]))
-        _add_chunk(4.0, sums, lo, chunk)
+    def reduce(lo, x):
+        seen.append((lo, lo + x.shape[1]))
+        _add_chunk(4.0, sums, lo, x)
 
     moments = rt.simulate_paths(model, cfg, block, 2.0, keep=slice(0), on_chunk=reduce)
     assert moments.states.shape == (B, 0, 1)
-    assert seen == _chunks(n, _chunk_width(B))
+    assert seen == _chunks(n, SLICE)  # whatever the width, here _chunk_width(B)
     want_sums, want_bad = _whole_array_sums(full.states, 4.0)
     assert _bits(sums[~want_bad]) == _bits(want_sums[~want_bad])
     assert not np.isfinite(sums[want_bad]).any()
