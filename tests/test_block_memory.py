@@ -205,16 +205,34 @@ def test_add_chunk_slices_give_the_bits_of_whole_chunk_norms():
                 assert np.array_equal(sums[2:].view(np.uint64), want.view(np.uint64))
 
 
-def test_moment_sink_holds_one_slice_at_128_point_chunks(monkeypatch):
-    # a 2048-row moment level, its budget raised so that it steps 128-point
-    # chunks: the kernel hands the sink 16-point slices, so one slice's x * x
-    # and norms, 0.26 MB each, are all the sink makes; a whole chunk's would
-    # be 2.1 MB each
+def _run_moment_level_at_128_point_chunks(monkeypatch, sink):
+    """Step a 2048-row moment level, its budget raised so that it steps
+    128-point chunks, under ``tracemalloc``, with ``sink(lo, x)`` as its
+    ``on_chunk``; returns the ``lo`` of every call."""
     model, B, n = rt.double_well_model(), 2048, 256
     monkeypatch.setattr(scheme, "CHUNK_STATES", B * MOMENT_CHUNK)
     assert scheme._chunk_width(B) == MOMENT_CHUNK
     block = make_block_draw(5, range(B), fine_n=n, m=1, horizon=model.horizon, x0=2.0)
-    sums, peaks = np.zeros(n + 1), []
+    seen = []
+
+    def on_chunk(lo, x):
+        seen.append(lo)
+        sink(lo, x)
+
+    tracemalloc.start()
+    try:
+        simulate_paths(model, rt.SchemeConfig("tamed", n), block, keep=slice(0),
+                       on_chunk=on_chunk)
+    finally:
+        tracemalloc.stop()
+    assert [lo for lo, _hi in _chunks(n, SLICE)] == seen
+    return seen
+
+
+def test_add_chunk_makes_no_chunk_sized_temporary(monkeypatch):
+    # the kernel hands the moment sink 16-point slices of its 128-point
+    # chunks, so no sink call makes a (B, 129) array: its norms alone are 2.1 MB
+    sums, peaks = np.zeros(257), []
 
     def sink(lo, x):
         before, _peak = tracemalloc.get_traced_memory()
@@ -222,13 +240,29 @@ def test_moment_sink_holds_one_slice_at_128_point_chunks(monkeypatch):
         _add_chunk(4.0, sums, lo, x)
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
-    tracemalloc.start()
-    try:
-        simulate_paths(model, rt.SchemeConfig("tamed", n), block, keep=slice(0), on_chunk=sink)
-    finally:
-        tracemalloc.stop()
-    assert len(peaks) == n // SLICE
-    assert max(peaks) < 2 * B * (SLICE + 1) * 8 + (1 << 16)  # the last slice is 17 wide
+    _run_moment_level_at_128_point_chunks(monkeypatch, sink)
+    assert max(peaks) < 1 << 20
+
+
+def test_add_chunk_frees_each_slice_before_the_next(monkeypatch):
+    # over the eight slices of each 128-point chunk, the sink keeps nothing
+    # from one call to the next: one slice's x * x and norms are 0.26 MB each
+    # (the last slice is 17 wide), and a third, the previous slice's norms,
+    # would take the peak to 0.78 MB
+    sums, peaks, kept, base = np.zeros(257), [], [], [0]
+
+    def sink(lo, x):
+        if lo % MOMENT_CHUNK == 0:  # the first slice of a chunk
+            base[0] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        _add_chunk(4.0, sums, lo, x)
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - base[0])
+        kept.append(current - base[0])
+
+    _run_moment_level_at_128_point_chunks(monkeypatch, sink)
+    assert max(peaks) < 0.6 * (1 << 20)
+    assert max(kept) < 1 << 16
 
 
 class _Cut(Exception):
