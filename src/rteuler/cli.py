@@ -41,7 +41,7 @@ EXIT_DIVERGED = 3
 # numpy's Poisson sampler refuses a mean above this with "lam value too large"
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 # simulate holds its one path whole: at d = m = 1 its draw takes 16 bytes a step and the
-# kernel's traced peak 16.3 more (n = 2^18), which 8 * (d + m + 5) bounds. A path needing
+# kernel's traced peak 8.2 more (n = 2^18), which 8 * (d + m + 5) bounds. A path needing
 # more than 2 GiB, 38 million steps at d = m = 1, is refused before any array is made, and
 # so is a block whose expected jumps need more, at 96 bytes a jump (72-88 measured)
 _SIMULATE_BYTES = 2 << 30

@@ -81,10 +81,15 @@ class TimeGrid:
         """1-based cell indices for event times, with tau in (t_{k-1}, t_k] -> k.
 
         Matches the stochastic-integral convention for jump increments: a jump
-        exactly on a grid point belongs to the cell ending there.
+        exactly on a grid point belongs to the cell ending there. The cell is
+        found from t*n/T and then checked against its edges ``(k * T) / n``,
+        one step down and one up, so it is the first k whose right edge is at
+        least t (n + 1 if the last edge rounds below t) without an n-long array.
         """
         times = np.asarray(times, dtype=float)
         if times.size and (times.min() <= 0.0 or times.max() > self.horizon):
             raise ValueError("event times must lie in (0, horizon]")
-        right_edges = np.arange(1, self.n + 1) * self.horizon / self.n
-        return np.searchsorted(right_edges, times, side="left") + 1
+        k = np.clip(np.ceil(times * self.n / self.horizon), 1, self.n).astype(np.int64)
+        k -= (k - 1) * self.horizon / self.n >= times
+        k += k * self.horizon / self.n < times
+        return k

@@ -98,8 +98,8 @@ class StudyConfig:
             raise ValueError(f"error_time must be one of {ERROR_TIMES}")
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
-        if not self.p_list or any(p < 1 for p in self.p_list):
-            raise ValueError("p_list entries must be >= 1")
+        if not self.p_list or not all(1 <= p < math.inf for p in self.p_list):  # NaN fails too
+            raise ValueError(f"p_list entries must be finite numbers >= 1, got {list(self.p_list)}")
         if not 0.0 <= self.intensity < math.inf:  # NaN fails too
             raise ValueError(f"intensity must be a finite number >= 0, got {self.intensity}")
 
@@ -369,7 +369,7 @@ def _add_chunk(q: float, sums: np.ndarray, lo: int, x: np.ndarray):
     The norm is ``np.linalg.norm``'s own formula ``sqrt(add.reduce(x*x,
     axis=-1))``, with the sqrt and the power taken in place. Grid points are
     independent and each one's sum over paths keeps its row order, so over
-    the kernel's slices the bits equal one whole-array reduction. No slice is
+    the kernel's chunks the bits equal one whole-array reduction. No chunk is
     one column wide: numpy sums a single column pairwise rather than row by
     row, which changes the bits.
     """
@@ -433,11 +433,11 @@ def moment_probe(
     diverged has an infinite empirical moment, and the diverged fraction is
     reported alongside.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    if not 2 <= q < math.inf:  # NaN fails too
+        raise ValueError(f"q must be a finite number >= 2, got {q}")
 
     def level(_paths: range, draws: BlockDraw, cfg, intensity: float) -> tuple:
-        # the kernel reduces each slice of states as it is stepped
+        # the kernel reduces each chunk of states as it is stepped
         sums = np.zeros(cfg.n + 1)
         res = simulate_paths(model, cfg, draws, intensity, keep=slice(0),
                              on_chunk=partial(_add_chunk, q, sums))
@@ -488,13 +488,13 @@ def taming_gap_probe(
     The drift gap is evaluated at the randomized drift times, diffusion and
     jump gaps at left endpoints, all along simulated tamed trajectories; each
     row averages over paths and steps (the jump gap over every ``stride``-th
-    pair of the run), added up one slice of states at a time as the kernel
+    pair of the run), added up one chunk of states at a time as the kernel
     steps. The fitted exponents are the decay slopes of log2(gap)
     against log2(dt). For untamed variants every gap is identically zero and
     no exponent is fitted.
     """
-    if p0 < 2:
-        raise ValueError("p0 must be >= 2")
+    if not 2 <= p0 < math.inf:  # NaN fails too
+        raise ValueError(f"p0 must be a finite number >= 2, got {p0}")
     tamed, randomized = variant_is_tamed(variant), variant_is_randomized(variant)
     # one fixed mark sample shared by all rows keeps the probe deterministic
     if jump_model is not None and tamed:
@@ -512,7 +512,7 @@ def taming_gap_probe(
         first = np.arange(paths.start, paths.stop)[:, None] * n  # each path's first pair
 
         def add(lo: int, x: np.ndarray):
-            x = x[:, : n - lo]  # the left points: the last slice also holds t_n
+            x = x[:, : n - lo]  # the left points: the last chunk also holds t_n
             w = x.shape[1]
             t = points[:, lo : lo + w]
             t_drift = grid.xis(phis[n][:, lo : lo + w].T, lo).T[..., None] if randomized else t

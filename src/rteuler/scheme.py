@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -194,26 +194,14 @@ def _jump_events(grid: TimeGrid, block: BlockDraw) -> dict:
     return {int(cells[lo]): (rows[lo:hi], marks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
 
 
-CHUNK = 128  # most grid points per chunk of the kernel's state buffer
-CHUNK_STATES = 1 << 15  # most states (rows x width x d) per chunk: 256 KB of float64
-SLICE = 16  # grid points per slice of states that the kernel hands a sink
+SLICE = 16  # grid points per chunk of states that the kernel steps and hands a sink
 
 
-def _chunk_width(states: int) -> int:
-    """Grid points per chunk for ``states`` = rows x d per point: ``CHUNK``,
-    halved while the chunk would hold more than ``CHUNK_STATES`` states, down
-    to ``SLICE``; so every width is a multiple of ``SLICE``."""
-    w = CHUNK
-    while w > SLICE and w * states > CHUNK_STATES:
-        w //= 2
-    return w
-
-
-def _chunks(n: int, width: int = CHUNK) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of the chunks of grid points 0..n: ``width`` points
-    each, the last also taking the final point (so none is one point wide
-    unless n is 0)."""
-    return [(lo, lo + width if lo + width < n else n + 1) for lo in range(0, max(n, 1), width)]
+def _chunks(n: int) -> Iterator[tuple[int, int]]:
+    """The (lo, hi) bounds of the chunks of grid points 0..n, made as they are
+    read: ``SLICE`` points each, the last also taking the final point (so none
+    is one point wide unless n is 0)."""
+    return ((lo, lo + SLICE if lo + SLICE < n else n + 1) for lo in range(0, max(n, 1), SLICE))
 
 
 def _run(
@@ -233,10 +221,9 @@ def _run(
     one's dimensions and horizon; cell 1's model must return a (B, d) drift
     and a (B, d, m) diffusion, which is checked once, before any cell. The
     draws come in the block's time-major windows, so each step reads one
-    contiguous row of them. The states are stepped into ``_chunks`` of
-    ``_chunk_width(B * d)`` points; of each, the points ``keep`` selects go
-    to the result, and ``on_chunk(lo, states)`` gets each slice (lo, hi) of
-    ``_chunks(n, SLICE)``: its (B, hi-lo, d) states, whatever the width.
+    contiguous row of them. The states are stepped chunk by chunk over
+    ``_chunks(n)``; of each chunk (lo, hi), the points ``keep`` selects go to
+    the result, and ``on_chunk(lo, states)`` gets its (B, hi-lo, d) states.
     """
     some = next(iter(models.values()))
     grid = TimeGrid(cfg.n, some.horizon)
@@ -252,8 +239,7 @@ def _run(
     kept = range(n + 1)[keep]  # ascending: a slice with a positive step
     states = np.empty((B, len(kept), d))
     whole = keep == slice(None)  # then each chunk is a view of ``states``
-    width = _chunk_width(B * d)
-    buf = states if whole else np.empty((B, min(n, width) + 1, d))
+    buf = states if whole else np.empty((B, min(n, SLICE) + 1, d))
     buf[:, 0] = x = block.x0  # the first chunk's point 0
     diverged_at, dt = np.full(B, -1), grid.dt
     windows = block.windows(n, randomized)
@@ -265,7 +251,7 @@ def _run(
             if got != want:
                 raise ValueError(f"{name} returns shape {got} for states of shape {x.shape}, "
                                  f"expected {want}")
-        for lo, hi in _chunks(n, width):
+        for lo, hi in _chunks(n):
             chunk = buf[:, lo:hi] if whole else buf[:, : hi - lo]
             for k in range(max(lo, 1), hi):
                 if k > w_hi:
@@ -278,16 +264,17 @@ def _run(
                 x = _cell(x, t_left, t_drift[k - 1 - w_lo] if randomized else t_left, dt,
                           dW[k - 1 - w_lo], arms[key], env, intensity, cell_jumps.get(k))
                 chunk[:, k - lo] = x
-            bad = ~np.isfinite(chunk).all(axis=2)  # (B, hi-lo)
-            first = (diverged_at < 0) & bad.any(axis=1)
-            diverged_at[first] = lo + bad[first].argmax(axis=1)
+            finite = np.isfinite(chunk)
+            if not finite.all():  # else no row's divergence starts here
+                bad = ~finite.all(axis=2)  # (B, hi-lo)
+                first = (diverged_at < 0) & bad.any(axis=1)
+                diverged_at[first] = lo + bad[first].argmax(axis=1)
             if not whole:
                 a, b = bisect_left(kept, lo), bisect_left(kept, hi)
                 part = kept[a:b]
                 states[:, a:b] = chunk[:, part.start - lo : part.stop - lo : part.step]
-            if on_chunk is not None:  # every width is a multiple of SLICE
-                for a, b in _chunks(hi - lo - 1, SLICE):
-                    on_chunk(lo + a, chunk[:, a:b])
+            if on_chunk is not None:
+                on_chunk(lo, chunk)
     return BatchResult(states=states, diverged_at=diverged_at)
 
 

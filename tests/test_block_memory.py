@@ -1,8 +1,8 @@
 """Bounded block memory: the same bits from fewer live copies.
 
 ``moment_probe`` frees each block before the next and reduces every level in
-the 16-point slices the kernel hands its sink. These tests pin it to the bits
-of the plain whole-array code and bound the probe's, one slice's and a
+the 16-point chunks the kernel hands its sink. These tests pin it to the bits
+of the plain whole-array code and bound the probe's, one chunk's and a
 single path's traced allocation peaks.
 """
 
@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import rteuler as rt
-from rteuler import BatchResult, harness, make_path_draw, rng, scheme, simulate_path, simulate_paths
+from rteuler import BatchResult, harness, make_path_draw, rng, simulate_path, simulate_paths
 from rteuler.harness import _add_chunk, moment_probe
 from rteuler.rng import make_block_draw
-from rteuler.scheme import CHUNK as MOMENT_CHUNK, SLICE, _chunks
+from rteuler.scheme import _chunks
 
 
 def _add_moments(res: BatchResult, q: float, sums: np.ndarray) -> int:
@@ -64,8 +64,8 @@ def _whole_array_probe(model, variant, n_list, q, num_paths, x0, jump_model, see
 
 def test_add_moments_equals_whole_array_reduction_bit_for_bit():
     rng = np.random.default_rng(11)
-    # n + 1 = 2 * MOMENT_CHUNK + 1: equal chunks would leave a one-column chunk
-    for n, d in ((2 * MOMENT_CHUNK, 1), (MOMENT_CHUNK + 5, 2), (3, 1), (1, 3)):
+    # n + 1 = 257: equal 16-point chunks would leave a one-column chunk
+    for n, d in ((256, 1), (133, 2), (3, 1), (1, 3)):
         for B in (1, 7, 300):
             states = rng.normal(size=(B, n + 1, d)) * 3.0
             if B > 1:
@@ -81,7 +81,7 @@ def test_add_moments_equals_whole_array_reduction_bit_for_bit():
 
 def test_moment_probe_equals_whole_array_reduction(dw_model, jumps_unit, monkeypatch):
     # x0 = 0.3 puts the sup away from t = 0; n = 256 spans several chunks
-    n_list = [64, 2 * MOMENT_CHUNK]
+    n_list = [64, 256]
     monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 64)
     got = moment_probe(dw_model, "randomized_tamed", n_list, 4.0, 150, x0=0.3,
                        jump_model=jumps_unit, base_seed=4)
@@ -107,7 +107,7 @@ def test_moment_probe_inf_rows_are_the_levels_the_kernel_flags(jumps_unit, monke
     # classical Euler on dx = -x^3 dt from x0 = 10 blows up at n = 16 only;
     # n = 256 spans several chunks
     model = rt.scalar_model(lambda t, x: -(x**3), zeta=2.0, name="cubic-decay")
-    n_list = [16, 64, 2 * MOMENT_CHUNK]
+    n_list = [16, 64, 256]
     monkeypatch.setattr(harness, "MOMENT_BLOCK_SIZE", 64)
     got = moment_probe(model, "classical", n_list, 4.0, 150, x0=10.0,
                        jump_model=jumps_unit, base_seed=4)
@@ -190,7 +190,7 @@ def _norm_sums(q: float, chunk: np.ndarray) -> np.ndarray:
 
 def test_add_chunk_slices_give_the_bits_of_whole_chunk_norms():
     # the one-pass reduction of any width the sink may be given, including the
-    # kernel's 16- and 17-point slices; d = 9 sums each norm with numpy's unrolled loop
+    # kernel's 16- and 17-point chunks; d = 9 sums each norm with numpy's unrolled loop
     rng = np.random.default_rng(5)
     for w in (2, 16, 17, 18, 33, 129):
         for d in (1, 2, 9):
@@ -205,13 +205,10 @@ def test_add_chunk_slices_give_the_bits_of_whole_chunk_norms():
                 assert np.array_equal(sums[2:].view(np.uint64), want.view(np.uint64))
 
 
-def _run_moment_level_at_128_point_chunks(monkeypatch, sink):
-    """Step a 2048-row moment level, its budget raised so that it steps
-    128-point chunks, under ``tracemalloc``, with ``sink(lo, x)`` as its
-    ``on_chunk``; returns the ``lo`` of every call."""
+def _run_moment_level(sink):
+    """Step a 2048-row moment level under ``tracemalloc``, with ``sink(lo, x)``
+    as its ``on_chunk``; returns the ``lo`` of every call."""
     model, B, n = rt.double_well_model(), 2048, 256
-    monkeypatch.setattr(scheme, "CHUNK_STATES", B * MOMENT_CHUNK)
-    assert scheme._chunk_width(B) == MOMENT_CHUNK
     block = make_block_draw(5, range(B), fine_n=n, m=1, horizon=model.horizon, x0=2.0)
     seen = []
 
@@ -225,13 +222,13 @@ def _run_moment_level_at_128_point_chunks(monkeypatch, sink):
                        on_chunk=on_chunk)
     finally:
         tracemalloc.stop()
-    assert [lo for lo, _hi in _chunks(n, SLICE)] == seen
+    assert [lo for lo, _hi in _chunks(n)] == seen
     return seen
 
 
-def test_add_chunk_makes_no_chunk_sized_temporary(monkeypatch):
-    # the kernel hands the moment sink 16-point slices of its 128-point
-    # chunks, so no sink call makes a (B, 129) array: its norms alone are 2.1 MB
+def test_add_chunk_makes_no_chunk_sized_temporary():
+    # the kernel steps and hands the moment sink 16-point chunks, so no sink
+    # call makes a (B, 129) array: its norms alone are 2.1 MB
     sums, peaks = np.zeros(257), []
 
     def sink(lo, x):
@@ -240,27 +237,25 @@ def test_add_chunk_makes_no_chunk_sized_temporary(monkeypatch):
         _add_chunk(4.0, sums, lo, x)
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
-    _run_moment_level_at_128_point_chunks(monkeypatch, sink)
+    _run_moment_level(sink)
     assert max(peaks) < 1 << 20
 
 
-def test_add_chunk_frees_each_slice_before_the_next(monkeypatch):
-    # over the eight slices of each 128-point chunk, the sink keeps nothing
-    # from one call to the next: one slice's x * x and norms are 0.26 MB each
-    # (the last slice is 17 wide), and a third, the previous slice's norms,
-    # would take the peak to 0.78 MB
-    sums, peaks, kept, base = np.zeros(257), [], [], [0]
+def test_add_chunk_frees_each_slice_before_the_next():
+    # the sink keeps nothing from one chunk to the next: one chunk's x * x and
+    # norms are 0.26 MB each (the last chunk is 17 wide), and a third, such
+    # as a previous chunk's norms, would take the peak to 0.78 MB
+    sums, peaks, kept = np.zeros(257), [], []
 
     def sink(lo, x):
-        if lo % MOMENT_CHUNK == 0:  # the first slice of a chunk
-            base[0] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+        base, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         _add_chunk(4.0, sums, lo, x)
         current, peak = tracemalloc.get_traced_memory()
-        peaks.append(peak - base[0])
-        kept.append(current - base[0])
+        peaks.append(peak - base)
+        kept.append(current - base)
 
-    _run_moment_level_at_128_point_chunks(monkeypatch, sink)
+    _run_moment_level(sink)
     assert max(peaks) < 0.6 * (1 << 20)
     assert max(kept) < 1 << 16
 
@@ -269,10 +264,10 @@ class _Cut(Exception):
     pass
 
 
-def test_simulate_path_holds_no_second_copy_of_its_draw():
-    # the caller holds the draw (16 bytes a step: increments and randomizers);
-    # the kernel's one-row block views them. Every array that grows with n is
-    # made before cell 1, so the run is cut after four windows of cells
+def _simulate_path_peak_per_step() -> float:
+    """The traced peak of ``simulate_path`` at n = 2^18, in bytes a step, with
+    the draw made before tracing. Every array that grows with n is made before
+    cell 1, so the run is cut after four windows of cells."""
     n, calls = 1 << 18, [0]
 
     def drift(t, x):
@@ -291,6 +286,16 @@ def test_simulate_path_holds_no_second_copy_of_its_draw():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the states 8 bytes a step, the jump cells' right edges 16 while they are
-    # found; stacked copies of the draw would add 16 more
-    assert peak / n < 24
+    return peak / n
+
+
+def test_simulate_path_holds_no_second_copy_of_its_draw():
+    # the caller holds the draw (16 bytes a step: increments and randomizers);
+    # the kernel's one-row block views them, where stacked copies would add 16
+    assert _simulate_path_peak_per_step() < 24
+
+
+def test_simulate_path_peak_is_its_states_alone():
+    # the states take 8 bytes a step; finding the jumps' cells from n-long
+    # right edges took 16 more, and a list of the chunks' bounds about 1
+    assert _simulate_path_peak_per_step() < 10

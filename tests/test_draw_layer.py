@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from rteuler import StreamKey, StreamTag, brownian_increments, coarsen, rng
 from rteuler.harness import StudyConfig, _study_block
 from rteuler.rng import _coarse_sums, make_block_draw, uniform_open_closed
-from rteuler.scheme import _chunk_width
+from rteuler.scheme import SLICE
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
            -1e-310, 1e300, -1e300, 1.0, -1.0, 1e16]
@@ -107,7 +107,7 @@ def test_study_block_peak_holds_coarse_increments_and_two_2mb_windows():
     cfg = StudyConfig(levels=levels, reference_n=4096, num_paths=B, base_seed=3)
     coarse_bytes = B * sum(levels) * m * 8  # every coarse level's (n, B, m) increments
     window_bytes = 2 * (1 << 18) * 8  # a window of increments and one of randomizers, 2 MB each
-    chunk_bytes = B * (_chunk_width(B) + 1) * 8  # the kernel's (B, width + 1, d) state buffer
+    chunk_bytes = B * (SLICE + 1) * 8  # the kernel's (B, SLICE + 1, d) state buffer
     slack = 3 << 20  # carried generators, 64-row fill buffers, per-cell temporaries
     _study_block(StudyConfig(levels=(4, 8, 16), reference_n=32, num_paths=1), range(1))
     tracemalloc.start()

@@ -97,3 +97,25 @@ def test_cell_of_convention():
         g.cell_of(np.array([0.0]))  # jumps live on (0, T]
     with pytest.raises(ValueError):
         g.cell_of(np.array([1.5]))
+
+
+def test_cell_of_equals_searchsorted_over_the_right_edges():
+    # a guard of the cells' bits: the first k whose edge (k * T) / n is at
+    # least t, as searchsorted over the n edges finds it, n + 1 where the last
+    # edge rounds below T; times on edges, one ulp either side, random and subnormal
+    gen = np.random.default_rng(2)
+    for trial in range(400):
+        n = int(gen.integers(1, 64) if trial % 3 == 0 else gen.integers(1, 1 << 20))
+        horizon = float(10.0 ** gen.uniform(-3, 6))
+        edges = np.arange(1, n + 1) * horizon / n
+        on = gen.integers(1, n + 1, 40) * horizon / n
+        times = np.concatenate([gen.uniform(0.0, horizon, 40), on, np.nextafter(on, 0.0),
+                                np.nextafter(on, np.inf), [horizon, np.nextafter(horizon, 0.0),
+                                                           5e-324, 1e-320, 2.2e-308]])
+        times = times[(times > 0.0) & (times <= horizon)]
+        got = TimeGrid(n, horizon).cell_of(times)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(edges, times, side="left") + 1)
+    n, horizon = 1942, 0.007  # (n * T) / n rounds below T
+    assert n * horizon / n < horizon
+    assert TimeGrid(n, horizon).cell_of(np.array([horizon]))[0] == n + 1

@@ -217,6 +217,17 @@ def test_moment_probe_validation(dw_model):
         moment_probe(dw_model, "classical", [8, 12], 2.0, 4)
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf])
+def test_non_finite_moment_orders_are_refused_where_they_enter(dw_model, order):
+    # each message starts with its argument's name, which the CLI turns into its key
+    with pytest.raises(ValueError, match=r"^p_list entries must be finite numbers >= 1"):
+        StudyConfig(p_list=(2, order))
+    with pytest.raises(ValueError, match="^q must be a finite number >= 2"):
+        moment_probe(dw_model, "randomized_tamed", [8], order, 4)
+    with pytest.raises(ValueError, match="^p0 must be a finite number >= 2"):
+        taming_gap_probe(dw_model, "randomized_tamed", [8], order, 4)
+
+
 def test_worker_count_rejected_at_the_argument():
     with pytest.raises(ValueError, match="^workers must be >= 1"):
         strong_error_study(StudyConfig(num_paths=4, levels=(4, 8, 16), reference_n=32), workers=0)

@@ -282,6 +282,25 @@ def test_sdde_delay_off_the_grid_is_refused_and_not_logged(dw_model, caplog):
     assert np.all(np.isfinite(traj.states))
 
 
+@pytest.mark.parametrize("lag", [1, 15, 16, 17, 100])
+def test_sdde_delayed_states_are_read_across_chunks(lag):
+    # a guard of the states the kernel reads while it fills them: dx = x(t - tau) dt
+    # with no noise is the Euler recursion x_k = x_{k-1} + x_{k-1-lag} dt, with the
+    # segment c before time 0 and x0 != c, bit for bit
+    n, c, x0 = 256, 1.0, 0.5
+    model = rt.scalar_model(lambda t, x: 0.0 * x).replace(
+        drift=lambda t, x, env=None: np.broadcast_to(env.delayed_state, np.shape(x)) + 0.0)
+    draw = rt.make_path_draw(4, 0, fine_n=n, m=1, horizon=1.0, levels=[n], x0=np.array([x0]))
+    draw.fine_increments[:] = 0.0
+    chain = MarkovPath(np.array([]), np.array([1]), 1.0)
+    traj = simulate_sdde_switching({1: model}, SchemeConfig("classical", n), draw,
+                                   lag / n, np.array([c]), chain)
+    dt, want = 1.0 / n, [x0]
+    for k in range(1, n + 1):
+        want.append(want[k - 1] + (want[k - 1 - lag] if k - 1 - lag >= 0 else c) * dt)
+    assert traj.states[:, 0].tobytes() == np.array(want).tobytes()
+
+
 def _plane_model():
     """A 2-d model whose drift is its delayed state."""
     return rt.CoefficientSet(

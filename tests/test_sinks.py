@@ -1,9 +1,8 @@
 """State sinks: the kernel keeps only what its caller reads, with the same bits.
 
-``simulate_paths`` steps the states into chunks of grid points and keeps the
-points ``keep`` selects (all of them, the terminal one, or every f-th one) or
-hands each 16-point slice to ``on_chunk`` (the moment reduction, the study's
-errors).
+``simulate_paths`` steps the states in 16-point chunks and keeps the points
+``keep`` selects (all of them, the terminal one, or every f-th one) or hands
+each chunk to ``on_chunk`` (the moment reduction, the study's errors).
 Each sink's output must equal the matching slice or reduction of the
 all-points run bit for bit, with the same ``diverged_at``. The study's
 reference reads the terminal and every-f-th sinks and its levels the error
@@ -28,7 +27,7 @@ from rteuler import harness
 from rteuler.cli import main
 from rteuler.harness import StudyConfig, _add_chunk, _study_block, strong_error_study
 from rteuler.rng import make_block_draw
-from rteuler.scheme import CHUNK, SLICE, SchemeConfig, _chunk_width, _chunks
+from rteuler.scheme import SLICE, SchemeConfig, _chunks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,7 +85,7 @@ def test_every_sink_equals_all_points_run(B, n, case):
 
     moments = rt.simulate_paths(model, cfg, block, 2.0, keep=slice(0), on_chunk=reduce)
     assert moments.states.shape == (B, 0, 1)
-    assert seen == _chunks(n, SLICE)  # whatever the width, here _chunk_width(B)
+    assert seen == list(_chunks(n))
     want_sums, want_bad = _whole_array_sums(full.states, 4.0)
     assert _bits(sums[~want_bad]) == _bits(want_sums[~want_bad])
     assert not np.isfinite(sums[want_bad]).any()
@@ -99,16 +98,15 @@ def test_every_sink_equals_all_points_run(B, n, case):
     want = np.where(nonfinite.any(axis=1), nonfinite.argmax(axis=1), -1)
     assert np.array_equal(full.diverged_at, want)
     if case == "diverging" and B == 300 and n == 257:
-        assert full.diverged_at.max() > CHUNK and (full.diverged_at < 0).any()
+        assert full.diverged_at.max() > 128 and (full.diverged_at < 0).any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 1024])
 def test_chunks_cover_the_grid_and_none_is_one_point_wide(n):
-    for width in (SLICE, 32, 64, CHUNK):  # every width _chunk_width gives
-        bounds = _chunks(n, width)
-        assert bounds[0][0] == 0 and bounds[-1][1] == n + 1
-        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-        assert all(2 <= hi - lo <= width + 1 for lo, hi in bounds)
+    bounds = list(_chunks(n))
+    assert bounds[0][0] == 0 and bounds[-1][1] == n + 1
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    assert all(2 <= hi - lo <= SLICE + 1 for lo, hi in bounds)
 
 
 def _small_study(error_time, **kw):
