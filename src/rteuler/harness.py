@@ -35,7 +35,7 @@ from .scheme import (
     variant_is_randomized,
     variant_is_tamed,
 )
-from .taming import denominator
+from .taming import TamingConfig, denominator
 
 ERROR_TIMES = ("terminal", "max_over_grid")
 N_BATCHES = 20  # batches of the batch-means standard error
@@ -102,6 +102,10 @@ class StudyConfig:
             raise ValueError(f"p_list entries must be finite numbers >= 1, got {list(self.p_list)}")
         if not 0.0 <= self.intensity < math.inf:  # NaN fails too
             raise ValueError(f"intensity must be a finite number >= 0, got {self.intensity}")
+        try:  # the exponents' bounds are the taming's own
+            TamingConfig(1, 0.0, self.taming_n_power, self.taming_x_power)
+        except ValueError as exc:
+            raise ValueError(f"taming_{exc}") from None
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ class CoefficientSet:
     state; matrix axes are appended inside the coefficient itself).
     ``jump_compensator_mean(t, x, env)`` is the mark-law expectation of the
     jump coefficient, i.e. the jump intensity integral divided by the total
-    intensity. Evaluation must be pure and reentrant.
+    intensity; it must be given, and None declares zero-mean marks, whose
+    compensator vanishes. Evaluation must be pure and reentrant.
     """
 
     dim_state: int
@@ -50,10 +51,9 @@ class CoefficientSet:
     drift: Callable
     diffusion: Callable
     jump: Callable
-    jump_compensator_mean: Callable | None = None
+    jump_compensator_mean: Callable | None
     zeta: float = 0.0
     horizon: float = 1.0
-    zero_mean_jump: bool = False
     mark_dim: int = 1
     name: str = ""
 
@@ -76,26 +76,23 @@ def scalar_model(
     *,
     zeta: float = 0.0,
     horizon: float = 1.0,
-    zero_mean_jump: bool = True,
     compensator_mean: Callable | None = None,
     name: str = "",
 ) -> CoefficientSet:
     """Lift elementwise scalar fields mu(t,x), sigma(t,x), jump(t,x,z) to a
-    one-dimensional CoefficientSet with the batch shape conventions."""
+    one-dimensional CoefficientSet with the batch shape conventions; marks
+    are zero-mean unless ``compensator_mean(t, x)`` is given."""
     sigma = sigma or (lambda t, x: np.zeros_like(x))
     jump = jump or (lambda t, x, z: np.zeros_like(x))
-    comp = compensator_mean or (lambda t, x: np.zeros_like(x))
     return CoefficientSet(
         dim_state=1,
         dim_noise=1,
         drift=lambda t, x, env=None: mu(t, x),
         diffusion=lambda t, x, env=None: sigma(t, x)[..., None],
         jump=lambda t, x, z, env=None: jump(t, x, z),
-        jump_compensator_mean=lambda t, x, env=None: comp(t, x),
+        jump_compensator_mean=compensator_mean and (lambda t, x, env=None: compensator_mean(t, x)),
         zeta=zeta,
         horizon=horizon,
-        zero_mean_jump=zero_mean_jump,
-        mark_dim=1,
         name=name,
     )
 
@@ -157,20 +154,15 @@ def double_well_model(params: DoubleWellParams | None = None) -> CoefficientSet:
     def jump(t, x, z, env=None):
         return gh * np.sqrt(t) * x * soft_power(x) * z
 
-    def compensator_mean(t, x, env=None):
-        return np.zeros_like(x)
-
     return CoefficientSet(
         dim_state=1,
         dim_noise=1,
         drift=drift,
         diffusion=diffusion,
         jump=jump,
-        jump_compensator_mean=compensator_mean,
+        jump_compensator_mean=None,
         zeta=2.0,
         horizon=1.0,
-        zero_mean_jump=True,
-        mark_dim=1,
         name="double-well",
     )
 

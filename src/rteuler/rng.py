@@ -155,11 +155,11 @@ def jump_path(
 
 @dataclass(frozen=True)
 class JumpModel:
-    """Finite-intensity compound Poisson description of the jump noise."""
+    """Finite-intensity compound Poisson description of the jump noise;
+    ``mark_sampler(gen, size)`` returns ``size`` marks, (size,) or (size, k)."""
 
     intensity: float
     mark_sampler: Callable[[np.random.Generator, int], np.ndarray]
-    mark_dim: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.intensity < math.inf:  # NaN fails too
@@ -168,11 +168,7 @@ class JumpModel:
 
 def normal_marks(intensity: float = 1.0) -> JumpModel:
     """Jump model with standard normal scalar marks."""
-    return JumpModel(
-        intensity=intensity,
-        mark_sampler=lambda gen, size: gen.normal(size=(size, 1)),
-        mark_dim=1,
-    )
+    return JumpModel(intensity, lambda gen, size: gen.normal(size=(size, 1)))
 
 
 @dataclass
@@ -189,7 +185,7 @@ class PathDraw:
     horizon: float
     fine_increments: np.ndarray  # (fine_n, m)
     jump_times: np.ndarray  # (J,), sorted, in (0, horizon]
-    jump_marks: np.ndarray  # (J, mark_dim)
+    jump_marks: np.ndarray  # (J, k), k the sampler's mark width
     phis: dict[int, np.ndarray] = field(default_factory=dict)
     x0: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
@@ -329,8 +325,10 @@ class _Brownian:
     def _fine_windows(self):
         fine_n, m, fine, B = self.fine_n, self.m, self._fine, self.rows
         todo = {n: fine_n // n for n, sums in self._coarse.items() if sums is None}
-        # a window holds whole coarse cells of every level it fills
-        w = min(math.lcm(_window(B), *todo.values()), fine_n)
+        # a window is as many lots as _window(B) holds, or one; a lot holds whole
+        # coarse cells of every level it fills, and 4k cells (see _Randomizers)
+        lot = math.lcm(4, *todo.values())
+        w = min(max(_window(B) // lot, 1) * lot, fine_n)
         R, gens = (ROWS if fine is None else B), []
         if fine is None:
             # a pass holds the pool until its last window, so no two passes share it
@@ -384,7 +382,7 @@ class BlockDraw:
     brownian: _Brownian
     jump_times: np.ndarray  # (J,), in row order, then time order
     jump_rows: np.ndarray  # (J,), the row of each jump
-    jump_marks: np.ndarray  # (J, mark_dim)
+    jump_marks: np.ndarray  # (J, k), k the sampler's mark width; (0, 1) without jumps
     phis: dict[int, np.ndarray] | _Randomizers  # n -> (B, n); _Randomizers fill when read
     x0: np.ndarray  # (B, d)
 
@@ -468,7 +466,7 @@ def make_block_draw(base_seed: int, paths: range, *, fine_n: int, m: int, horizo
     else:
         x0 = np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (B, 1))
     times = [np.empty(0)] + [t for t, _ in path_jumps]
-    marks = [np.empty((0, jump_model.mark_dim if jump_model else 1))] + [z for _, z in path_jumps]
+    marks = [z for _, z in path_jumps] or [np.empty((0, 1))]
     brownian = _Brownian(fine_n, m, keys=keys[:, 0], sd=math.sqrt(horizon / fine_n),
                          coarse=[n for n in coarse if n != fine_n])
     return BlockDraw(brownian=brownian, jump_times=np.concatenate(times),
@@ -489,7 +487,7 @@ def make_path_draw(base_seed: int, path_index: int, *, fine_n: int, m: int, hori
     """
     key = partial(StreamKey, base_seed, path_index)
     dW = brownian_increments(key(StreamTag.BROWNIAN), fine_n, m, horizon)
-    times, marks = np.empty(0), np.empty((0, jump_model.mark_dim if jump_model else 1))
+    times, marks = np.empty(0), np.empty((0, 1))
     if jump_model is not None and jump_model.intensity > 0.0:
         times, marks = jump_path(key(StreamTag.JUMPS), jump_model.intensity, horizon,
                                  jump_model.mark_sampler)

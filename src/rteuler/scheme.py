@@ -11,7 +11,7 @@ cell's randomized point (or its left endpoint) depending on the variant. The
 jump coefficient is always evaluated at the cell's left time and left state:
 jumps inside a cell do not update the evaluation state mid-cell, and multiple
 jumps are summed in time order. The compensator term is skipped exactly when
-the model declares a zero-mean jump law.
+the model declares no compensator mean (None: a zero-mean jump law).
 
 There is one stepping kernel, a lockstep loop over a batch of paths:
 ``simulate_path`` and ``simulate_sdde_switching`` run it with a batch of one,
@@ -111,9 +111,7 @@ class BatchResult:
 def _arm(coeffs: CoefficientSet, tcfg: TamingConfig | None, intensity: float) -> tuple:
     """What a step needs of one coefficient set: (coeffs, tame, compensate),
     with ``tame`` the taming's (scale n^(-n_power), x_power), None when untamed."""
-    compensate = intensity > 0.0 and not coeffs.zero_mean_jump
-    if compensate and coeffs.jump_compensator_mean is None:
-        raise ValueError("compensator mean required for non-zero-mean jump models")
+    compensate = intensity > 0.0 and coeffs.jump_compensator_mean is not None
     tame = None if tcfg is None else (float(tcfg.n) ** -tcfg.n_power, tcfg.x_power)
     return coeffs, tame, compensate
 
@@ -233,6 +231,8 @@ def _run(
         raise ValueError(f"x0 has shape {block.x0.shape}, model needs ({B}, {d})")
     if block.brownian.m != m:
         raise ValueError(f"increments have width {block.brownian.m}, dim_noise is {m}")
+    if len(block.jump_times) and block.jump_marks.shape[1:] != (some.mark_dim,):
+        raise ValueError(f"marks have shape {block.jump_marks.shape}, mark_dim is {some.mark_dim}")
     cell_jumps = _jump_events(grid, block)
     arms = {key: _arm(model, cfg.taming_for(model), intensity) for key, model in models.items()}
 

@@ -12,6 +12,7 @@ taming families can be compared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,13 @@ class TamingConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.n_power > 0.0:
-            raise ValueError("n_power must be > 0")
         if self.x_power is None:
             object.__setattr__(self, "x_power", 1.5 * self.zeta)
+        for name, value in (("n_power", self.n_power), ("x_power", self.x_power)):
+            if not math.isfinite(value):  # else D_n(x) would be 1, inf or NaN
+                raise ValueError(f"{name} must be a finite number, got {value}")
+        if not self.n_power > 0.0:
+            raise ValueError("n_power must be > 0")
         if self.x_power < 0.0:
             raise ValueError("x_power must be >= 0")
 

@@ -124,7 +124,7 @@ def test_moment_probe_is_inf_where_a_finite_state_has_an_overflowing_norm():
         dim_state=2, dim_noise=1,
         drift=lambda t, x, env=None: 1e200 + 0.0 * x,
         diffusion=lambda t, x, env=None: np.zeros(x.shape + (1,)),
-        jump=lambda t, x, z, env=None: np.zeros_like(x),
+        jump=lambda t, x, z, env=None: np.zeros_like(x), jump_compensator_mean=None,
     )
     table = moment_probe(model, "classical", [8], 4.0, 3, x0=np.array([1.0, 1.0]))
     assert [(r.sup_moment, r.diverged_frac) for r in table.rows] == [(np.inf, 0.0)]

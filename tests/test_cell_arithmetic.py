@@ -83,7 +83,7 @@ def _linear_model(d: int) -> rt.CoefficientSet:
         drift=lambda t, x, env=None: x * 1.0,
         diffusion=lambda t, x, env=None: x[..., None] * 1.0,
         jump=lambda t, x, z, env=None: 0.0 * x,
-        zeta=2.0, zero_mean_jump=True,
+        jump_compensator_mean=None, zeta=2.0,
     )
 
 

@@ -72,20 +72,22 @@ def _windows(block, n: int, randomized: bool):
 @pytest.mark.parametrize("budget", [1 << 12, 1 << 16, 1 << 20])
 @pytest.mark.parametrize("m", [1, 2])
 def test_windows_at_any_budget_equal_per_key_functions(budget, m, monkeypatch):
-    # 100 rows get windows of 128, 512 and 1024 cells; the factors 2 and 8
-    # take the strided sums, 32 and 256 the reshaped ones
+    # 100 rows get windows of 128, 512 and 1024 cells, or on the 3-adic ladder
+    # 108, 432 and 972 (whole lots of 4 * 27 cells); the factors 2, 3 and 8
+    # take the strided sums, 9, 27, 32 and 256 the reshaped ones
     monkeypatch.setattr(rng, "WINDOW_DRAWS", budget)
-    seed, paths, fine_n, levels = 2**40 + 9, range(5, 105), 2048, [1024, 256, 64, 8]
+    seed, paths = 2**40 + 9, range(5, 105)
     assert rng._window(len(paths)) == {1 << 12: 128, 1 << 16: 512, 1 << 20: 1024}[budget]
-    block = make_block_draw(seed, paths, fine_n=fine_n, m=m, horizon=1.5, coarse=levels)
-    fine = {i: brownian_increments(StreamKey(seed, i, StreamTag.BROWNIAN), fine_n, m, 1.5)
-            for i in paths}
-    for n in [fine_n] + levels:
-        dW, phi = _windows(block, n, randomized=True)
-        for b, i in enumerate(paths):
-            assert np.array_equal(dW[b], coarsen(fine[i], fine_n // n))
-            want = uniform_open_closed(StreamKey(seed, i, StreamTag.RANDOMIZER, n).generator(), n)
-            assert np.array_equal(phi[b], want)
+    for fine_n, levels in [(2048, [1024, 256, 64, 8]), (2187, [729, 243, 81])]:
+        block = make_block_draw(seed, paths, fine_n=fine_n, m=m, horizon=1.5, coarse=levels)
+        fine = {i: brownian_increments(StreamKey(seed, i, StreamTag.BROWNIAN), fine_n, m, 1.5)
+                for i in paths}
+        for n in [fine_n] + levels:
+            dW, phi = _windows(block, n, randomized=True)
+            for b, i in enumerate(paths):
+                assert np.array_equal(dW[b], coarsen(fine[i], fine_n // n))
+                key = StreamKey(seed, i, StreamTag.RANDOMIZER, n)
+                assert np.array_equal(phi[b], uniform_open_closed(key.generator(), n))
 
 
 @pytest.mark.parametrize("budget", [1 << 12, 1 << 16, 1 << 20])
@@ -102,9 +104,11 @@ def test_randomizer_reads_that_start_mid_level_equal_per_key_functions(budget, m
     assert np.array_equal(phis[n], want)
 
 
-def test_study_block_peak_holds_coarse_increments_and_two_2mb_windows():
-    B, levels, m = 500, (64, 128, 256, 512, 1024), 1
-    cfg = StudyConfig(levels=levels, reference_n=4096, num_paths=B, base_seed=3)
+def _study_block_peak_and_bound(levels: tuple, reference_n: int) -> tuple[int, int]:
+    """The traced peak of a 500-row, 1-d study block on ``levels``, and the
+    most it must hold: every coarse level's increments and two 2 MB windows."""
+    B, m = 500, 1
+    cfg = StudyConfig(levels=levels, reference_n=reference_n, num_paths=B, base_seed=3)
     coarse_bytes = B * sum(levels) * m * 8  # every coarse level's (n, B, m) increments
     window_bytes = 2 * (1 << 18) * 8  # a window of increments and one of randomizers, 2 MB each
     chunk_bytes = B * (SLICE + 1) * 8  # the kernel's (B, SLICE + 1, d) state buffer
@@ -116,8 +120,21 @@ def test_study_block_peak_holds_coarse_increments_and_two_2mb_windows():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, coarse_bytes + window_bytes + chunk_bytes + slack
+
+
+def test_study_block_peak_holds_coarse_increments_and_two_2mb_windows():
+    peak, bound = _study_block_peak_and_bound((64, 128, 256, 512, 1024), 4096)
     # windows of twice that budget (1024 cells at 500 rows) exceed the bound
-    assert peak < coarse_bytes + window_bytes + chunk_bytes + slack
+    assert peak < bound
+
+
+def test_study_block_on_a_3_adic_ladder_keeps_its_windows_within_the_budget():
+    # the factors 81, 27, 9 and 3 share no factor with the 512-cell window of
+    # 500 rows: the window is one lot of 4 * 81 = 324 cells; a window of whole
+    # lots of 512 cells would be at least lcm(512, 81) cells, the whole path
+    peak, bound = _study_block_peak_and_bound((81, 243, 729, 2187), 6561)
+    assert peak < bound
 
 
 def _dirty(gen: np.random.Generator) -> np.random.Generator:

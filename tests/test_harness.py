@@ -84,6 +84,20 @@ def test_bad_jump_intensity_rejected_where_it_enters(intensity):
         rt.normal_marks(intensity)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("taming_n_power", 0.0, "must be > 0"),
+    ("taming_n_power", math.nan, "must be a finite number, got nan"),
+    ("taming_n_power", math.inf, "must be a finite number, got inf"),
+    ("taming_x_power", -1.0, "must be >= 0"),
+    ("taming_x_power", math.nan, "must be a finite number, got nan"),
+    ("taming_x_power", math.inf, "must be a finite number, got inf"),
+])
+def test_study_config_refuses_bad_taming_exponents_at_construction(name, value, message):
+    # refused as the config is built, not in the first block after its draws
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        StudyConfig(**{name: value})
+
+
 def test_identical_construction_gives_exactly_zero_error(dw_model, jumps_unit):
     draws = [
         rt.make_path_draw(1, i, fine_n=128, m=1, horizon=1.0, levels=[128],

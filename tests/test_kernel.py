@@ -5,6 +5,8 @@ the loop behind ``simulate_paths``, and ``step`` runs that loop's per-cell
 map, so their results are compared with ``np.array_equal``, not a tolerance.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +45,6 @@ def planar_model():
         jump=lambda t, x, z, env=None: 0.1 * x * z,
         jump_compensator_mean=lambda t, x, env=None: 0.05 * x,
         zeta=2.0,
-        zero_mean_jump=False,
     )
 
 
@@ -194,6 +195,38 @@ def test_increment_width_must_match_dim_noise(dw_model):
     for run in _entry_points(dw_model):
         with pytest.raises(ValueError, match="dim_noise"):
             run(SchemeConfig("classical", 8), draw)
+
+
+def test_marks_narrower_than_mark_dim_are_refused_before_any_cell():
+    # the 1-d normal marks would broadcast into the jump 0.1 * x * z of 2-d marks
+    calls = []
+
+    def drift(t, x, env=None):
+        calls.append(t)
+        return -x
+
+    model = planar_model().replace(mark_dim=2, drift=drift)
+    draw = rt.make_path_draw(4, 0, fine_n=16, m=2, horizon=1.0, levels=[16],
+                             jump_model=rt.normal_marks(40.0), x0=np.ones(2))
+    message = f"marks have shape ({len(draw.jump_times)}, 1), mark_dim is 2"
+    for run in _entry_points(model):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            run(SchemeConfig("randomized_tamed", 16), draw)
+    assert calls == []
+
+
+def test_marks_take_their_width_from_the_sampler():
+    jumps = rt.JumpModel(5.0, lambda g, n: g.normal(size=(n, 2)))
+    kw = dict(fine_n=16, m=2, horizon=1.0, jump_model=jumps, x0=[1.0, -0.5])
+    block = make_block_draw(7, range(4), **kw)
+    draw = rt.make_path_draw(7, 2, levels=[16], **kw)
+    assert block.jump_marks.shape == (len(block.jump_times), 2)
+    assert draw.jump_marks.shape == (len(draw.jump_times), 2) and len(draw.jump_times) > 0
+    assert np.array_equal(draw.jump_marks, block.jump_marks[block.jump_rows == 2])
+    model, cfg = planar_model().replace(mark_dim=2), SchemeConfig("randomized_tamed", 16)
+    batch = simulate_paths(model, cfg, block, intensity=5.0)
+    assert np.array_equal(simulate_path(model, cfg, draw, intensity=5.0).states,
+                          batch.states[2])
 
 
 def _stepped(model, variant, n, draw, intensity):

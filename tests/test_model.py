@@ -62,9 +62,7 @@ def test_double_well_coefficient_values(dw_model):
 
 
 def test_double_well_compensator_is_zero(dw_model):
-    assert dw_model.zero_mean_jump
-    x = np.linspace(-3, 3, 7)[:, None]
-    assert np.all(dw_model.jump_compensator_mean(0.5, x) == 0.0)
+    assert dw_model.jump_compensator_mean is None
 
 
 def test_double_well_vectorized_evaluation(dw_model):
@@ -143,10 +141,18 @@ def test_build_model_refuses_a_param_its_factory_does_not_name():
 def test_coefficient_set_validation():
     with pytest.raises(ValueError):
         rt.CoefficientSet(
-            dim_state=0, dim_noise=1, drift=None, diffusion=None, jump=None
+            dim_state=0, dim_noise=1, drift=None, diffusion=None, jump=None,
+            jump_compensator_mean=None,
         )
     with pytest.raises(ValueError):
         rt.scalar_model(lambda t, x: x, zeta=-1.0)
+
+
+def test_a_coefficient_set_must_state_its_jump_law():
+    coeffs = dict(dim_state=1, dim_noise=1, drift=None, diffusion=None, jump=None)
+    with pytest.raises(TypeError, match="jump_compensator_mean"):
+        rt.CoefficientSet(**coeffs)
+    assert rt.CoefficientSet(**coeffs, jump_compensator_mean=None).jump_compensator_mean is None
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))

@@ -154,13 +154,23 @@ def test_compensator_applied_for_nonzero_mean_marks():
         lambda t, x: 0.0 * x,
         jump=lambda t, x, z: z,
         compensator_mean=lambda t, x: np.ones_like(x),  # marks with mean 1
-        zero_mean_jump=False,
     )
     draw = rt.make_path_draw(0, 0, fine_n=4, m=1, horizon=1.0, levels=[4],
                              x0=np.array([0.0]))
     traj = simulate_path(model, SchemeConfig("classical", 4), draw, intensity=2.0)
     # no jumps drawn (no jump model), so only the compensator drains the state
     assert traj.terminal[0] == pytest.approx(-2.0)
+
+
+def test_scalar_model_compensates_exactly_when_given_a_compensator_mean():
+    # no jumps drawn, so each of the 4 cells moves the state by -2 * dt * mean
+    draw = rt.make_path_draw(0, 0, fine_n=4, m=1, horizon=1.0, levels=[4],
+                             x0=np.array([0.0]))
+    for mean, terminal in [(None, 0.0), (1.0, -2.0), (-0.5, 1.0)]:
+        comp = None if mean is None else (lambda t, x, c=mean: np.full_like(x, c))
+        model = rt.scalar_model(lambda t, x: 0.0 * x, compensator_mean=comp)
+        traj = simulate_path(model, SchemeConfig("classical", 4), draw, intensity=2.0)
+        assert traj.terminal[0] == terminal
 
 
 def test_missing_randomizers_rejected(dw_model):
@@ -197,6 +207,7 @@ def test_two_dimensional_state_and_noise():
         drift=lambda t, x, env=None: x @ rot.T,
         diffusion=lambda t, x, env=None: np.broadcast_to(diff, np.shape(x) + (2,)),
         jump=lambda t, x, z, env=None: np.zeros_like(x),
+        jump_compensator_mean=None,
         zeta=0.0,
     )
     draw = rt.make_path_draw(21, 0, fine_n=6, m=2, horizon=1.0, levels=[6],
@@ -307,7 +318,7 @@ def _plane_model():
         dim_state=2, dim_noise=1,
         drift=lambda t, x, env=None: np.broadcast_to(env.delayed_state, np.shape(x)) + 0.0,
         diffusion=lambda t, x, env=None: np.zeros(np.shape(x) + (1,)),
-        jump=lambda t, x, z, env=None: np.zeros_like(x))
+        jump=lambda t, x, z, env=None: np.zeros_like(x), jump_compensator_mean=None)
 
 
 @pytest.mark.parametrize("dim, segment, got", [
@@ -365,7 +376,7 @@ def test_coefficient_of_the_wrong_shape_is_refused_before_any_cell(B, name, bad,
     # each broadcasts against (B, 1) states: at B = 1 without error, at B = 5
     # into a (5, 5) state deep in the loop
     coeffs = dict(drift=lambda t, x, env=None: -x, diffusion=lambda t, x, env=None: x[..., None],
-                  jump=lambda t, x, z, env=None: np.zeros_like(x))
+                  jump=lambda t, x, z, env=None: np.zeros_like(x), jump_compensator_mean=None)
     model = rt.CoefficientSet(dim_state=1, dim_noise=1, **dict(coeffs, **{name: bad}))
     draws = [rt.make_path_draw(0, i, fine_n=8, m=1, horizon=1.0, levels=[8], x0=np.array([1.0]))
              for i in range(B)]

@@ -1,9 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rteuler as rt
 from rteuler import TamingConfig, check_taming_bounds, denominator, tame
+
+
+@pytest.mark.parametrize("name", ["n_power", "x_power"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_taming_exponents_are_refused_where_they_enter(name, value):
+    # a NaN exponent reads every moment row as inf; an infinite n_power steps
+    # as classical, an infinite x_power freezes the path at x0
+    message = f"^{name} must be a finite number, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        TamingConfig(n=4, zeta=2.0, **{name: value})
+    with pytest.raises(ValueError, match=message):
+        rt.SchemeConfig("tamed", 4, **{name: value})
 
 
 def test_config_defaults_and_validation():
@@ -76,7 +90,6 @@ def test_compensator_commutes_with_taming():
         lambda t, x: -x,
         jump=lambda t, x, z: x * z,
         compensator_mean=lambda t, x: 0.5 * x,  # marks with mean 1/2
-        zero_mean_jump=False,
         zeta=1.0,
     )
     cfg = TamingConfig(n=9, zeta=1.0)
