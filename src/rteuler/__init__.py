@@ -5,7 +5,6 @@ from .constraints import (
     check_coercivity,
     check_double_well_monotonicity_empirical,
     check_monotonicity,
-    normal_abs_moment,
     normal_moment,
 )
 from .grid import TimeGrid
@@ -47,9 +46,8 @@ from .scheme import (
     simulate_path,
     simulate_paths,
     simulate_sdde_switching,
-    step,
 )
-from .taming import TamingConfig, check_taming_bounds, denominator, tame
+from .taming import TamingConfig, check_taming_bounds, denominator
 
 __version__ = "0.1.0"
 
@@ -83,7 +81,6 @@ __all__ = [
     "jump_path",
     "make_path_draw",
     "moment_probe",
-    "normal_abs_moment",
     "normal_marks",
     "normal_moment",
     "probe_growth",
@@ -94,8 +91,6 @@ __all__ = [
     "simulate_path",
     "simulate_paths",
     "simulate_sdde_switching",
-    "step",
     "strong_error_study",
     "taming_gap_probe",
-    "tame",
 ]

@@ -43,7 +43,8 @@ _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 # simulate holds its one path whole: at d = m = 1 its draw takes 16 bytes a step and the
 # kernel's traced peak 8.2 more (n = 2^18), which 8 * (d + m + 5) bounds. A path needing
 # more than 2 GiB, 38 million steps at d = m = 1, is refused before any array is made, and
-# so is a block whose expected jumps need more, at 96 bytes a jump (72-88 measured)
+# so is a block whose expected jumps need more, at 96 bytes a jump (72-88 measured), or
+# whose step counts need more in the arrays a study or moment block holds whole
 _SIMULATE_BYTES = 2 << 30
 
 # what a config value must be: ``text`` ends "<key> must be ...", ``test`` accepts one
@@ -249,18 +250,34 @@ def _model(config: dict, rows: int = 1):
     return built
 
 
+def _held(dotted: str, value, rows: int, nbytes: int, what: str) -> None:
+    """Refuse ``value``, the config's ``dotted`` key, when a block of ``rows``
+    paths would hold ``nbytes`` of ``what`` whole, more than 2 GiB."""
+    if nbytes > _SIMULATE_BYTES:
+        raise ConfigError(f"{dotted} must fit a {rows}-path block in 2 GiB, got {value}: "
+                          f"its {what} are held whole, {nbytes / 2**30:.4g} GiB")
+
+
 def _study_config(config: dict) -> StudyConfig:
     rows = min(config["study"]["num_paths"], harness.STUDY_BLOCK_SIZE)
-    _model(config, rows)  # a bad model config fails here, before any block runs
+    built = _model(config, rows)  # a bad model config fails here, before any block runs
     model, taming = config["model"], config["taming"]
     study = {k: tuple(v) if isinstance(v, list) else v for k, v in config["study"].items()}
     try:
-        return StudyConfig(**study, model=model["preset"], model_params=model["params"],
-                           x0=model["x0"], base_seed=config["seed"],
-                           intensity=config["jumps"]["intensity"],
-                           taming_n_power=taming["n_power"], taming_x_power=taming["x_power"])
+        cfg = StudyConfig(**study, model=model["preset"], model_params=model["params"],
+                          x0=model["x0"], base_seed=config["seed"],
+                          intensity=config["jumps"]["intensity"],
+                          taming_n_power=taming["n_power"], taming_x_power=taming["x_power"])
     except ValueError as exc:
         raise _keyed("study", exc) from exc
+    # the levels' increments, and at max_over_grid the reference's states at their stride
+    nbytes, what = 8 * rows * sum(cfg.levels) * built.dim_noise, "coarse increments"
+    if cfg.error_time == "max_over_grid":
+        kept = cfg.reference_n // math.gcd(*(cfg.reference_n // n for n in cfg.levels)) + 1
+        nbytes += 8 * rows * kept * built.dim_state
+        what += " and the reference's states on their common grid"
+    _held("study.levels", config["study"]["levels"], rows, nbytes, what)
+    return cfg
 
 
 def _out_dir(config: dict) -> Path:
@@ -437,7 +454,13 @@ def cmd_verify(args, config: dict) -> int:
 
 def cmd_moments(args, config: dict) -> int:
     sec, taming = config["moments"], config["taming"]
-    model = _model(config, min(sec["num_paths"], harness.MOMENT_BLOCK_SIZE))
+    rows, n_list = min(sec["num_paths"], harness.MOMENT_BLOCK_SIZE), sec["n_list"]
+    model = _model(config, rows)
+    # the coarse levels' increments, and each level's (n + 1) moment sums
+    coarse = sum(n_list) - max(n_list, default=0)
+    _held("moments.n_list", n_list, rows,
+          8 * (rows * coarse * model.dim_noise + sum(n + 1 for n in n_list)),
+          "coarse increments and each level's moment sums")
     out = _out_dir(config)
     try:
         table = harness.moment_probe(

@@ -32,21 +32,12 @@ def normal_moment(p: int) -> float:
     """ln m_p with m_p = E|Z|^p for standard normal Z and even p >= 2.
 
     Computed via log-gamma (m_2k = (2k)! / (2^k k!), the double factorial), so
-    it stays exact in log scale for p in the hundreds. Odd orders are rejected
-    here; see ``normal_abs_moment`` for the general absolute-moment formula.
+    it stays exact in log scale for p in the hundreds. Odd orders are rejected.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"normal_moment requires even p >= 2, got {p}")
     k = p // 2
     return math.lgamma(p + 1) - k * math.log(2.0) - math.lgamma(k + 1)
-
-
-def normal_abs_moment(p: float) -> float:
-    """ln E|Z|^p for standard normal Z and any real p > 0:
-    E|Z|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi)."""
-    if not p > 0:
-        raise ValueError(f"order must be > 0, got {p}")
-    return 0.5 * p * math.log(2.0) + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
 
 
 def _logsumexp(terms) -> float:

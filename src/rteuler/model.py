@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -60,8 +61,8 @@ class CoefficientSet:
     def __post_init__(self):
         if self.dim_state < 1 or self.dim_noise < 1:
             raise ValueError("state and noise dimensions must be >= 1")
-        if self.zeta < 0.0:
-            raise ValueError("growth exponent zeta must be >= 0")
+        if not 0.0 <= self.zeta < math.inf:  # NaN fails too
+            raise ValueError(f"zeta must be a finite number >= 0, got {self.zeta}")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be > 0")
 

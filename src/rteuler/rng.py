@@ -134,6 +134,8 @@ def _jumps(gen: np.random.Generator, intensity: float, horizon: float, mark_samp
     count = int(gen.poisson(intensity * horizon)) if intensity > 0.0 else 0
     times = np.sort(horizon * uniform_open_closed(gen, count))
     marks = np.asarray(mark_sampler(gen, count), dtype=float)
+    if len(marks) != count:  # a block's rows would read each other's marks
+        raise ValueError(f"mark_sampler returned {len(marks)} marks for {count} jumps")
     if marks.ndim == 1:
         marks = marks[:, None]
     return times, marks

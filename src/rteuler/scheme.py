@@ -13,11 +13,12 @@ jumps inside a cell do not update the evaluation state mid-cell, and multiple
 jumps are summed in time order. The compensator term is skipped exactly when
 the model declares no compensator mean (None: a zero-mean jump law).
 
-There is one stepping kernel, a lockstep loop over a batch of paths:
-``simulate_path`` and ``simulate_sdde_switching`` run it with a batch of one,
-and ``step`` runs its per-cell map once. Taming is fused into it: each step
+There is one stepping kernel, a lockstep loop over a batch of paths, and one
+per-cell map, ``_cell``: ``simulate_path`` and ``simulate_sdde_switching`` run
+the kernel with a batch of one. Taming is fused into the map: each step
 computes D_n(x) once and divides the drift, diffusion, compensator and jump
-terms by it, bit for bit what stepping ``taming.tame``'d coefficients gives.
+terms by it, bit for bit what stepping coefficients divided by D_n(x) ahead of
+the step gives.
 """
 
 from __future__ import annotations
@@ -144,40 +145,6 @@ def _cell(x, t_left, t_drift, dt, dW, arm, env, intensity, jumps):
         rows, marks = jumps
         gam = coeffs.jump(t_left, x[rows], marks, env)
         np.add.at(out, rows, gam if tame is None else gam / den[rows])
-    return out
-
-
-def step(
-    x: np.ndarray,
-    k: int,
-    grid: TimeGrid,
-    coeffs: CoefficientSet,
-    dW: np.ndarray,
-    cell_jumps,
-    phi: float | None = None,
-    intensity: float = 0.0,
-    env: EnvState | None = None,
-) -> np.ndarray:
-    """Advance one path over cell k (1-based).
-
-    ``coeffs`` are the effective (already tamed, if applicable) coefficients;
-    ``dW`` is the Brownian increment over the cell, ``cell_jumps`` the list of
-    (time, mark) pairs with time in (t_{k-1}, t_k], in time order, and ``phi``
-    the drift randomizer (None evaluates the drift at the left endpoint).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None]
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))[None]
-    t_left = grid.point(k - 1)
-    t_drift = grid.xi(k, phi) if phi is not None else t_left
-    jumps = None
-    if len(cell_jumps):
-        marks = np.array([np.atleast_1d(z) for _tau, z in cell_jumps], dtype=float)
-        jumps = (np.zeros(len(marks), dtype=int), marks)
-    arm = _arm(coeffs, None, intensity)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _cell(x, t_left, t_drift, grid.dt, dW, arm, env, intensity, jumps)[0]
-    if not np.all(np.isfinite(out)):
-        raise DivergedPathError(k, out)
     return out
 
 

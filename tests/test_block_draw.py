@@ -136,6 +136,16 @@ def test_make_block_draw_rejects_bad_coarse_levels(coarse, message):
         make_block_draw(1, range(3), fine_n=24, m=1, horizon=1.0, coarse=coarse)
 
 
+def test_a_sampler_of_the_wrong_mark_count_is_refused_where_marks_are_drawn():
+    # one mark too many per path: the block would hold 21 jumps and 24 marks,
+    # and every row after the first would step on another row's marks
+    extra = rt.JumpModel(5.0, lambda gen, size: gen.normal(size=(size + 1, 1)))
+    with pytest.raises(ValueError, match="^mark_sampler returned 10 marks for 9 jumps$"):
+        make_block_draw(7, range(3), fine_n=16, m=1, horizon=1.0, jump_model=extra, x0=2.0)
+    with pytest.raises(ValueError, match="^mark_sampler returned 10 marks for 9 jumps$"):
+        rt.make_path_draw(7, 0, fine_n=16, m=1, horizon=1.0, levels=[16], jump_model=extra)
+
+
 @pytest.mark.parametrize("variant", ["randomized_tamed", "classical"])
 def test_simulate_paths_on_block_equals_on_draw_list(dw_model, jumps_unit, variant):
     kw = dict(fine_n=256, m=1, horizon=1.0, jump_model=jumps_unit,

@@ -968,3 +968,45 @@ def test_jump_intensity_just_inside_the_block_bound_reaches_the_draws(tmp_path, 
     doc = _with(_with(SMALL_STUDY, "jumps.intensity", intensity), "moments.num_paths", 40)
     with pytest.raises(_Drawn):
         main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+
+
+BIG_LEVELS = [2**37, 2**38, 2**39]  # with reference_n 2^40: 7 * 2^37 coarse steps a path
+
+
+@pytest.mark.parametrize("command, key, value, error_time, held", [
+    ("converge", "study.levels", BIG_LEVELS, "terminal",
+     "its coarse increments are held whole, 2.867e+05 GiB"),
+    ("converge", "study.levels", BIG_LEVELS, "max_over_grid",
+     "its coarse increments and the reference's states on their common grid are held "
+     "whole, 4.506e+05 GiB"),
+    ("moments", "moments.n_list", [2**39, 2**40], "terminal",
+     "its coarse increments and each level's moment sums are held whole, 1.761e+05 GiB"),
+])
+def test_step_counts_no_block_can_hold_are_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          command, key, value, error_time, held):
+    # before, numpy's allocation of the coarse increments or moment sums ended in
+    # an _ArrayMemoryError traceback that left the output directory behind
+    monkeypatch.setattr("rteuler.harness.make_block_draw", _no_draw)
+    doc = _with(_with(SMALL_STUDY, "study.reference_n", 2**40), "study.error_time", error_time)
+    doc = _with(_with(doc, key, value), "moments.num_paths", 40)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: {key} must fit a 40-path block in 2 GiB, "
+                            f"got {value}: {held}\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("paths, reaches", [(32, True), (33, False)])
+def test_study_levels_at_the_block_bound_reach_the_draws(tmp_path, monkeypatch, paths, reaches):
+    # one level of 2^23 steps: 32 paths' coarse increments are 2 GiB exactly
+    monkeypatch.setattr("rteuler.harness.make_block_draw", _no_draw)
+    doc = _with(_with(SMALL_STUDY, "study.levels", [2**23]), "study.reference_n", 2**24)
+    argv = ["converge", "--config", write_config(tmp_path, _with(doc, "study.num_paths", paths)),
+            "--out", str(tmp_path / "o")]
+    if reaches:
+        with pytest.raises(_Drawn):
+            main(argv)
+    else:
+        assert main(argv) == EXIT_CONFIG

@@ -10,9 +10,10 @@ from rteuler import (
     check_coercivity,
     check_double_well_monotonicity_empirical,
     check_monotonicity,
-    normal_abs_moment,
     normal_moment,
 )
+
+from oracles import normal_abs_moment
 
 # hand-computed with exact rational arithmetic (m2 = 1, m4 = 3):
 #   sigma^2 (q-1) + 2^(q-1)(q-1)(gamma^2 m2 + gamma^q m_q) at q = 4

@@ -1,8 +1,9 @@
 """The single stepping kernel: every entry point must give the same bits.
 
 ``simulate_path`` and ``simulate_sdde_switching`` are batch-of-one calls into
-the loop behind ``simulate_paths``, and ``step`` runs that loop's per-cell
-map, so their results are compared with ``np.array_equal``, not a tolerance.
+the loop behind ``simulate_paths``, and the test oracle ``step`` runs that
+loop's per-cell map, so their results are compared with ``np.array_equal``,
+not a tolerance.
 """
 
 import re
@@ -21,10 +22,11 @@ from rteuler import (
     simulate_path,
     simulate_paths,
     simulate_sdde_switching,
-    step,
 )
 from rteuler.cli import EXIT_DIVERGED, main
 from rteuler.rng import WINDOW, make_block_draw
+
+from oracles import step, tame
 
 
 def planar_model():
@@ -82,7 +84,7 @@ def test_sdde_single_regime_zero_delay_equals_plain_exactly(variant, dw_model, j
 
 
 def test_step_with_tamed_coefficients_equals_fused_kernel(dw_model):
-    # stepping rt.tame()'d coefficients cell by cell gives the bits of the
+    # stepping tame()'d coefficients cell by cell gives the bits of the
     # kernel, which divides by one denominator per step instead
     n = 32
     draw = rt.make_path_draw(11, 0, fine_n=n, m=1, horizon=1.0, levels=[n],
@@ -91,7 +93,7 @@ def test_step_with_tamed_coefficients_equals_fused_kernel(dw_model):
     grid = TimeGrid(n)
     cells = grid.cell_of(draw.jump_times)
     dW = draw.fine_increments
-    tamed = rt.tame(dw_model, tcfg)
+    tamed = tame(dw_model, tcfg)
     x = draw.x0
     states = [x]
     for k in range(1, n + 1):
@@ -230,11 +232,11 @@ def test_marks_take_their_width_from_the_sampler():
 
 
 def _stepped(model, variant, n, draw, intensity):
-    """One path stepped cell by cell with ``step``, on ``rt.tame``'d coefficients
+    """One path stepped cell by cell with ``step``, on ``tame``'d coefficients
     for the tamed variants: its states up to divergence and the
     ``DivergedPathError`` that stopped it, or None."""
     grid, taming = TimeGrid(n, model.horizon), SchemeConfig(variant, n).taming_for(model)
-    coeffs = rt.tame(model, taming) if taming else model
+    coeffs = tame(model, taming) if taming else model
     dW = rt.coarsen(draw.fine_increments, draw.fine_n // n)
     cells = grid.cell_of(draw.jump_times)
     randomized = variant in ("randomized_tamed", "randomized_untamed")

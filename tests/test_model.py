@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -146,6 +147,13 @@ def test_coefficient_set_validation():
         )
     with pytest.raises(ValueError):
         rt.scalar_model(lambda t, x: x, zeta=-1.0)
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_growth_exponent_is_refused_naming_zeta(zeta):
+    # else a NaN zeta builds and a tamed run fails on an x_power never set
+    with pytest.raises(ValueError, match=f"^zeta must be a finite number >= 0, got {zeta}$"):
+        rt.scalar_model(lambda t, x: x, zeta=zeta)
 
 
 def test_a_coefficient_set_must_state_its_jump_law():

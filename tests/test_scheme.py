@@ -15,8 +15,9 @@ from rteuler import (
     simulate_path,
     simulate_paths,
     simulate_sdde_switching,
-    step,
 )
+
+from oracles import step, tame
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,7 +58,7 @@ def test_step_constant_drift_randomization_invariant():
 
 
 def test_step_double_well_hand_value(dw_model):
-    tamed = rt.tame(dw_model, TamingConfig(n=1, zeta=2.0))
+    tamed = tame(dw_model, TamingConfig(n=1, zeta=2.0))
     out = step(np.array([2.0]), 1, TimeGrid(1), tamed, np.array([0.0]), [], phi=1.0)
     assert out[0] == pytest.approx(14.0 / 9.0, rel=1e-14)
 

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rteuler as rt
-from rteuler import TamingConfig, check_taming_bounds, denominator, tame
+from rteuler import TamingConfig, check_taming_bounds, denominator
+from rteuler.taming import BoundReport
+
+from oracles import tame
 
 
 @pytest.mark.parametrize("name", ["n_power", "x_power"])
@@ -105,6 +108,50 @@ def test_bounds_report_no_violations(dw_model):
     assert report.max_drift_ratio <= 1.0 + 1e-12
     assert report.max_diffusion_ratio <= 1.0 + 1e-12
     assert report.max_jump_ratio <= 1.0 + 1e-12
+
+
+def _bounds_through_tame(coeffs, cfg, n_samples=10_000, seed=0):
+    """``check_taming_bounds``' report, its tamed norms taken from ``tame``'d
+    coefficients as the package computed them before its fused division."""
+    gen = np.random.default_rng(seed)
+    t = coeffs.horizon * gen.random(n_samples)
+    x = gen.uniform(-10.0, 10.0, size=(n_samples, coeffs.dim_state))
+    z = gen.normal(size=(n_samples, coeffs.mark_dim))
+    tamed, tcol = tame(coeffs, cfg), t[:, None]
+    norms = []
+    for c in (coeffs, tamed):
+        norms.append((np.linalg.norm(np.atleast_2d(c.drift(tcol, x, None)), axis=-1),
+                      np.sqrt(np.sum(c.diffusion(tcol, x, None) ** 2, axis=(-2, -1))),
+                      np.linalg.norm(np.atleast_2d(c.jump(tcol, x, z, None)), axis=-1)))
+    report = BoundReport()
+    for tag, orig, tm in zip(("drift", "diffusion", "jump"), *norms):
+        nz = orig > 0.0
+        setattr(report, f"max_{tag}_ratio", float(np.max(tm[nz] / orig[nz])) if nz.any() else 1.0)
+        report.ratio_violations += int(np.sum(tm > orig * (1.0 + 1e-12)))
+    r = np.linalg.norm(x, axis=-1)
+    report.fitted_drift_constant = float((norms[1][0] / (cfg.n ** (1 / 3) * (1.0 + r))).max())
+    report.fitted_diffusion_constant = float((norms[1][1] / (cfg.n ** (1 / 6) * (1.0 + r))).max())
+    return report
+
+
+def _planar_with_compensator():
+    """2-d state and noise, cubic drift, marks of non-zero mean with a compensator."""
+    return rt.CoefficientSet(
+        dim_state=2, dim_noise=2,
+        drift=lambda t, x, env=None: np.stack([x[..., 1], -x[..., 0] ** 3], axis=-1) + 0.0 * t,
+        diffusion=lambda t, x, env=None: 0.1 * x[..., :, None] * np.ones(2) + 0.0 * t[..., None],
+        jump=lambda t, x, z, env=None: 0.1 * x * z,
+        jump_compensator_mean=lambda t, x, env=None: 0.05 * x,
+        zeta=2.0,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096])
+def test_bounds_report_equals_the_one_through_tame(dw_model, n):
+    # guard: dividing by one denominator column gives tame()'s bits exactly
+    for model in (dw_model, _planar_with_compensator()):
+        cfg = TamingConfig(n=n, zeta=model.zeta)
+        assert check_taming_bounds(model, cfg) == _bounds_through_tame(model, cfg)
 
 
 def test_ratio_is_one_at_origin(dw_model):
